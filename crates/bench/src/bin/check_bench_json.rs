@@ -30,13 +30,7 @@ fn check(path: &str) -> Result<(), String> {
             .ok_or_else(|| format!("{path}: missing \"acceptance\""))?
             .as_object(0)
             .map_err(|e| format!("{path}: {e}"))?;
-        for field in [
-            "legacy_single_ns",
-            "scg_route_single_ns",
-            "planner_single_ns",
-            "packed_single_ns",
-            "speedup_x1000",
-        ] {
+        for field in ["scg_route_single_ns", "packed_single_ns"] {
             acc.get(field)
                 .ok_or_else(|| format!("{path}: acceptance missing \"{field}\""))?
                 .as_u64(0)
@@ -49,20 +43,6 @@ fn check(path: &str) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         if k < 9 {
             return Err(format!("{path}: acceptance class has k = {k} < 9"));
-        }
-        // The packed-kernel regression gate: the bit-packed star-sort must
-        // not fall behind the byte-array planner baseline it replaced (the
-        // bench bakes mode-appropriate timer slack into the flag).
-        let flag = acc
-            .get("packed_le_planner")
-            .ok_or_else(|| format!("{path}: acceptance missing \"packed_le_planner\""))?
-            .as_u64(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        if flag != 1 {
-            return Err(format!(
-                "{path}: packed kernel regressed past the planner baseline \
-                 (packed_le_planner = {flag}, want 1)"
-            ));
         }
         // The parallel-batch regression gate: `route_batch` at full thread
         // count must not fall behind its sequential leg (the adaptive

@@ -5,7 +5,7 @@
 //! * the delivered ratio of the link-level simulator with *stale* routing
 //!   tables (built fault-free, deflection retries only) vs *refreshed*
 //!   survivor tables;
-//! * the `scg_route_faulty` curves: mean stretch over the survivor-graph
+//! * the `scg_route_faulty_with` curves: mean stretch over the survivor-graph
 //!   shortest path, detour and fallback counts.
 //!
 //! Connectivity equals the graph degree (Cayley-graph fault tolerance), so
@@ -13,7 +13,7 @@
 //! router must deliver 100%.
 
 use scg_bench::{all_class_hosts_k5, f3, Table};
-use scg_core::{materialize, scg_route_faulty, CayleyNetwork, SMALL_NET_CAP};
+use scg_core::{materialize, route_plan, scg_route_faulty_with, CayleyNetwork, SMALL_NET_CAP};
 use scg_emu::{Packet, PortModel, SyncSim, TableRouter};
 use scg_graph::{FaultSet, NodeId, SurvivorView};
 use scg_perm::XorShift64;
@@ -46,6 +46,7 @@ fn main() {
             v.len()
         };
         let stale = TableRouter::new(graph).expect("small degrees");
+        let plan = route_plan(&net).expect("plan compiles");
         for f in 0..degree {
             let mut rng = XorShift64::new(0xFA57 + f as u64);
             let faults = FaultSet::random_nodes(mat.num_nodes(), f, &[], &mut rng);
@@ -93,13 +94,14 @@ fn main() {
             let fresh = TableRouter::new_with_faults(graph, &faults).expect("small degrees");
             let (fresh_ratio, _) = run(&fresh);
 
-            // scg_route_faulty curves over the same pairs.
+            // scg_route_faulty_with curves over the same pairs.
             let (mut stretch_sum, mut stretch_n) = (0.0f64, 0u32);
             let (mut detours, mut fallbacks) = (0u32, 0u32);
             for &(s, d) in &pairs {
                 let from = mat.node_label(s).expect("rank in range");
                 let to = mat.node_label(d).expect("rank in range");
-                let Ok(routed) = scg_route_faulty(&net, &mat, &from, &to, &faults) else {
+                let Ok(routed) = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults)
+                else {
                     continue; // disconnected pair (only possible if !connected)
                 };
                 let dist = view.bfs_distances(s)[d as usize];

@@ -95,12 +95,12 @@ fn main() {
 
     // Six-case expansion-length histogram for Theorem 6 on MS(3,2).
     let host = SuperCayleyGraph::macro_star(3, 2).unwrap();
-    let emu = scg_core::StarEmulation::new(&host).unwrap();
+    let plan = scg_core::route_plan(&host).unwrap();
     let k = host.degree_k();
     let mut hist = std::collections::BTreeMap::new();
     for i in 1..=k {
         for j in i + 1..=k {
-            let len = emu.expand_tn_link(i, j).unwrap().len();
+            let len = plan.tn_link(i, j).unwrap().len();
             *hist.entry(len).or_insert(0usize) += 1;
         }
     }

@@ -22,8 +22,10 @@
 //! * non-Cayley guest topologies ([`hypercube`], [`mesh`], [`linear_array`],
 //!   [`ring`]);
 //! * optimal star-graph routing ([`star_route`], [`star_distance`]) and the
-//!   Theorem 1/2/3/6/7 generator expansions ([`StarEmulation`]) that carry
-//!   star and transposition-network algorithms onto super Cayley graphs;
+//!   Theorem 1/2/3/6/7 generator expansions, compiled once per network into
+//!   a [`RoutePlan`] ([`RoutePlan::star_link`], [`RoutePlan::tn_link`]),
+//!   that carry star and transposition-network algorithms onto super
+//!   Cayley graphs;
 //! * exact BFS routing ([`bfs_route`]) and measured property reports
 //!   ([`NetworkReport`]).
 //!
@@ -71,10 +73,9 @@ pub use network::CayleyNetwork;
 pub use report::NetworkReport;
 pub use routing::{
     bfs_route, bubble_distance, bubble_sort_sequence, rotator_sort_sequence, route_batch,
-    scg_route, scg_route_faulty, scg_route_faulty_ids, scg_route_faulty_with, star_diameter,
-    star_dimension_parts, star_distance, star_distance_between, star_route, star_sort_sequence,
-    tn_distance, tn_sort_sequence, BatchState, RouteBuf, RoutePlan, RoutedPath, StarEmulation,
-    MIN_PAIRS_PER_THREAD,
+    scg_route, scg_route_faulty_with, star_diameter, star_dimension_parts, star_distance,
+    star_distance_between, star_route, star_sort_sequence, tn_distance, tn_sort_sequence,
+    BatchState, RouteBuf, RoutePlan, RoutedPath, MIN_PAIRS_PER_THREAD,
 };
 pub use topology::{
     materialize, route_plan, Materialized, ShardedTopology, TopologyCache, DEFAULT_NET_CAP,

@@ -38,22 +38,11 @@ pub fn star_dimension_parts(j: usize, n: usize) -> (usize, usize) {
     ((j - 2) % n, (j - 2) / n)
 }
 
-/// Emulation of star-graph links on a super Cayley graph host.
-///
-/// # Examples
-///
-/// ```
-/// use scg_core::{StarEmulation, SuperCayleyGraph};
-///
-/// # fn main() -> Result<(), scg_core::CoreError> {
-/// let ms = SuperCayleyGraph::macro_star(3, 2)?;
-/// let emu = StarEmulation::new(&ms)?;
-/// assert_eq!(emu.expand_star_link(6)?.len(), 3); // Theorem 1
-/// # Ok(())
-/// # }
-/// ```
+/// Emulation of star-graph links on a super Cayley graph host: the
+/// build code of [`RoutePlan`](crate::RoutePlan), which runs every
+/// expansion once per network and serves the results as arena slices.
 #[derive(Debug, Clone, Copy)]
-pub struct StarEmulation<'a> {
+pub(crate) struct StarEmulation<'a> {
     host: &'a SuperCayleyGraph,
 }
 
@@ -71,14 +60,8 @@ impl<'a> StarEmulation<'a> {
     /// # Errors
     ///
     /// Infallible today; kept fallible for future host kinds.
-    pub fn new(host: &'a SuperCayleyGraph) -> Result<Self, CoreError> {
+    pub(crate) fn new(host: &'a SuperCayleyGraph) -> Result<Self, CoreError> {
         Ok(StarEmulation { host })
-    }
-
-    /// The host network.
-    #[must_use]
-    pub fn host(&self) -> &'a SuperCayleyGraph {
-        self.host
     }
 
     fn n(&self) -> usize {
@@ -189,7 +172,7 @@ impl<'a> StarEmulation<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameters`] if `j` is outside `2..=k`.
-    pub fn expand_star_link(&self, j: usize) -> Result<Vec<Generator>, CoreError> {
+    pub(crate) fn expand_star_link(&self, j: usize) -> Result<Vec<Generator>, CoreError> {
         let k = self.n() * self.l() + 1;
         if !(2..=k).contains(&j) {
             return Err(CoreError::InvalidParameters { l: self.l(), n: j });
@@ -213,7 +196,7 @@ impl<'a> StarEmulation<'a> {
     ///
     /// Returns [`CoreError::InvalidParameters`] if `(i, j)` is not a valid
     /// position pair.
-    pub fn expand_tn_link(&self, i: usize, j: usize) -> Result<Vec<Generator>, CoreError> {
+    pub(crate) fn expand_tn_link(&self, i: usize, j: usize) -> Result<Vec<Generator>, CoreError> {
         let k = self.n() * self.l() + 1;
         if i >= j || i < 1 || j > k {
             return Err(CoreError::InvalidParameters { l: i, n: j });
@@ -289,7 +272,7 @@ impl<'a> StarEmulation<'a> {
     /// The worst-case expansion length of a star link on this host: the
     /// embedding dilation of Theorems 1–3.
     #[must_use]
-    pub fn star_dilation(&self) -> usize {
+    pub(crate) fn star_dilation(&self) -> usize {
         let (l, n) = (self.l(), self.n());
         let trip = match self.host.class().super_kind() {
             SuperKind::None => 0,

@@ -3,13 +3,12 @@
 //!
 //! Super Cayley graphs inherit the star/rotator property that connectivity
 //! equals degree, so any `degree − 1` fail-stop faults leave the survivors
-//! connected and [`scg_route_faulty`] is total on them. The router is
+//! connected and [`scg_route_faulty_with`] is total on them. The router is
 //! layered by cost:
 //!
 //! 1. walk the fault-free emulation plan of [`scg_route`] — `O(path)` table
-//!    lookups, no search (planning rides [`RoutePlan::route_into`] and so
-//!    inherits the bit-packed `u64` star-sort kernel whenever `k ≤ 16`,
-//!    the byte-array walk above);
+//!    lookups, no search (planning rides [`RoutePlan::route_into`] and its
+//!    bit-packed `u64` star-sort kernel);
 //! 2. at the first faulted hop, *detour*: re-expand from the failure point
 //!    with the faulted generator masked, preferring an alternative whose
 //!    replanned suffix is verified fault-free (bounded by `2 × degree`
@@ -20,6 +19,8 @@
 //!
 //! The result is a [`RoutedPath`] report — the generator sequence plus how
 //! much fault handling it took — rather than a bare generator list.
+//!
+//! [`scg_route`]: crate::scg_route
 
 use scg_graph::{FaultSet, NodeId, SurvivorView};
 use scg_perm::Perm;
@@ -29,7 +30,7 @@ use crate::error::CoreError;
 use crate::generator::Generator;
 use crate::network::CayleyNetwork;
 use crate::routing::plan::{RouteBuf, RoutePlan};
-use crate::topology::{route_plan, Materialized};
+use crate::topology::Materialized;
 
 /// A fault-aware route and the effort it took.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +109,8 @@ fn survivor_fallback(
     Ok(())
 }
 
-/// Routes `from → to` on a super Cayley graph while avoiding `faults`.
+/// Routes `from → to` on a super Cayley graph while avoiding `faults`,
+/// walking the compiled `plan` of `net`.
 ///
 /// Tries the paper's emulation route first; on the first faulted hop it
 /// searches for a detour (alternative generator at the failure point with
@@ -121,35 +123,17 @@ fn survivor_fallback(
 /// When no detour fires (`detours == 0 && !fallback_used`) the path *is*
 /// the emulation route, so its length obeys the paper's dilation bound.
 ///
+/// The plan is passed in rather than looked up, so a caller that owns a
+/// per-shard [`TopologyCache`](crate::TopologyCache) (one per core, no
+/// global lock on the hot path) resolves it through *its* cache; callers
+/// without one pass the process-wide [`route_plan`](crate::route_plan).
+///
 /// # Errors
 ///
 /// * [`CoreError::DegreeMismatch`] — label degrees do not match the
 ///   network;
 /// * [`CoreError::NoRoute`] — an endpoint is failed, or the faults
 ///   disconnect `to` from `from` in the survivor graph.
-pub fn scg_route_faulty(
-    net: &SuperCayleyGraph,
-    mat: &Materialized,
-    from: &Perm,
-    to: &Perm,
-    faults: &FaultSet,
-) -> Result<RoutedPath, CoreError> {
-    let compiled = route_plan(net)?;
-    scg_route_faulty_with(&compiled, net, mat, from, to, faults)
-}
-
-/// [`scg_route_faulty`] against an explicitly supplied compiled plan,
-/// bypassing the process-wide plan cache.
-///
-/// This is the shard-aware entry point: a caller that owns a per-shard
-/// [`TopologyCache`](crate::TopologyCache) (one per core, no global lock on
-/// the hot path) resolves the plan through *its* cache and routes here, so
-/// concurrent shards never contend on the global cache mutex. Results are
-/// identical to [`scg_route_faulty`] for the same network.
-///
-/// # Errors
-///
-/// As [`scg_route_faulty`].
 pub fn scg_route_faulty_with(
     plan: &RoutePlan,
     net: &SuperCayleyGraph,
@@ -173,40 +157,6 @@ pub fn scg_route_faulty_with(
     result
 }
 
-/// Routes `src → dst` (materialized node ids) while avoiding `faults`,
-/// returning the traversed node-id sequence inclusive of both endpoints —
-/// the form embedding re-routers consume directly. A self-route yields the
-/// single-node path `[src]`.
-///
-/// This is [`scg_route_faulty`] with the label translation folded in: it
-/// reuses the same compiled plan cache, detour search, and survivor-BFS
-/// fallback, then replays the generator hops through the transition tables.
-///
-/// # Errors
-///
-/// * [`CoreError::Perm`] — an id exceeds the materialized node count;
-/// * [`CoreError::NoRoute`] — an endpoint is failed, or the faults
-///   disconnect `dst` from `src` in the survivor graph.
-pub fn scg_route_faulty_ids(
-    net: &SuperCayleyGraph,
-    mat: &Materialized,
-    src: NodeId,
-    dst: NodeId,
-    faults: &FaultSet,
-) -> Result<Vec<NodeId>, CoreError> {
-    let from = mat.node_label(src)?;
-    let to = mat.node_label(dst)?;
-    let routed = scg_route_faulty(net, mat, &from, &to, faults)?;
-    let mut path = Vec::with_capacity(routed.len() + 1);
-    path.push(src);
-    let mut cur = src;
-    for &g in &routed.hops {
-        cur = mat.neighbor_id(cur, gen_index(net, g)?);
-        path.push(cur);
-    }
-    Ok(path)
-}
-
 /// Replans `from → to` into `buf` and mirrors the metric footprint of a
 /// public [`scg_route`](crate::scg_route) call, so instrumented sweeps see
 /// the same per-plan hop histograms they did when the faulty router
@@ -226,7 +176,7 @@ fn replan_into(
     Ok(())
 }
 
-/// The uninstrumented routing core behind [`scg_route_faulty`].
+/// The uninstrumented routing core behind [`scg_route_faulty_with`].
 fn route_faulty_inner(
     compiled: &RoutePlan,
     net: &SuperCayleyGraph,
@@ -360,8 +310,8 @@ fn route_faulty_inner(
 mod tests {
     use super::*;
     use crate::classes::apply_path;
-    use crate::routing::{scg_route, star_distance_between, StarEmulation};
-    use crate::topology::{materialize, SMALL_NET_CAP};
+    use crate::routing::{scg_route, star_distance_between};
+    use crate::topology::{materialize, route_plan, SMALL_NET_CAP};
     use scg_perm::XorShift64;
 
     fn walk(mat: &Materialized, net: &SuperCayleyGraph, src: NodeId, hops: &[Generator]) -> NodeId {
@@ -377,12 +327,13 @@ mod tests {
     fn fault_free_routing_matches_emulation_route() {
         let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(17);
         let faults = FaultSet::new();
         for _ in 0..20 {
             let from = Perm::random(5, &mut rng);
             let to = Perm::random(5, &mut rng);
-            let routed = scg_route_faulty(&net, &mat, &from, &to, &faults).unwrap();
+            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults).unwrap();
             assert_eq!(routed.hops, scg_route(&net, &from, &to).unwrap());
             assert_eq!(routed.detours, 0);
             assert!(!routed.fallback_used);
@@ -394,6 +345,7 @@ mod tests {
     fn routes_avoid_faults_and_arrive() {
         let net = SuperCayleyGraph::insertion_selection(5).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(23);
         let degree = mat.node_degree();
         for trial in 0..12 {
@@ -404,7 +356,7 @@ mod tests {
             let mut seeded = XorShift64::new(1000 + trial);
             let faults =
                 FaultSet::random_nodes(mat.num_nodes(), degree - 1, &[src, dst], &mut seeded);
-            let routed = scg_route_faulty(&net, &mat, &from, &to, &faults).unwrap();
+            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults).unwrap();
             // The walk reaches the destination without touching a fault.
             let mut cur = src;
             for &g in &routed.hops {
@@ -421,7 +373,7 @@ mod tests {
     fn clean_routes_obey_the_dilation_bound() {
         let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
-        let emu = StarEmulation::new(&net).unwrap();
+        let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(29);
         let faults = FaultSet::random_nodes(mat.num_nodes(), 1, &[], &mut rng);
         let mut clean_seen = 0;
@@ -432,12 +384,12 @@ mod tests {
             if faults.node_failed(src) || faults.node_failed(dst) {
                 continue;
             }
-            let routed = scg_route_faulty(&net, &mat, &from, &to, &faults).unwrap();
+            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults).unwrap();
             if routed.detours == 0 && !routed.fallback_used {
                 clean_seen += 1;
                 assert!(
                     routed.len() as u32
-                        <= emu.star_dilation() as u32 * star_distance_between(&from, &to)
+                        <= plan.star_dilation() as u32 * star_distance_between(&from, &to)
                 );
             }
         }
@@ -445,48 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn id_route_matches_generator_walk() {
-        let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
-        let mat = materialize(&net, SMALL_NET_CAP).unwrap();
-        let mut rng = XorShift64::new(41);
-        let faults = FaultSet::random_nodes(mat.num_nodes(), 2, &[], &mut rng);
-        for _ in 0..10 {
-            let from = Perm::random(5, &mut rng);
-            let to = Perm::random(5, &mut rng);
-            let (src, dst) = (mat.node_id(&from).unwrap(), mat.node_id(&to).unwrap());
-            if faults.node_failed(src) || faults.node_failed(dst) {
-                continue;
-            }
-            let path = scg_route_faulty_ids(&net, &mat, src, dst, &faults).unwrap();
-            assert_eq!(path[0], src);
-            assert_eq!(*path.last().unwrap(), dst);
-            // Every hop is a live materialized link.
-            for w in path.windows(2) {
-                assert!(!faults.blocks(w[0], w[1]));
-                assert!(
-                    (0..mat.node_degree()).any(|g| mat.neighbor_id(w[0], g) == w[1]),
-                    "hop is not a host link"
-                );
-            }
-        }
-        // Self-route: the single-node path.
-        let uid = mat.node_id(&Perm::identity(5)).unwrap();
-        assert_eq!(
-            scg_route_faulty_ids(&net, &mat, uid, uid, &FaultSet::new()).unwrap(),
-            vec![uid]
-        );
-    }
-
-    #[test]
     fn failed_endpoint_is_no_route() {
         let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
         let from = Perm::identity(5);
         let to = Perm::from_rank(5, 77).unwrap();
         let mut faults = FaultSet::new();
         faults.fail_node(mat.node_id(&to).unwrap());
         assert!(matches!(
-            scg_route_faulty(&net, &mat, &from, &to, &faults),
+            scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults),
             Err(CoreError::NoRoute)
         ));
     }
@@ -496,6 +416,7 @@ mod tests {
         // The id-space walk and the label-space walk are the same route.
         let net = SuperCayleyGraph::complete_rotation_star(2, 2).unwrap();
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(31);
         let faults = FaultSet::random_nodes(mat.num_nodes(), 2, &[], &mut rng);
         for _ in 0..10 {
@@ -505,7 +426,7 @@ mod tests {
             if faults.node_failed(src) || faults.node_failed(dst) {
                 continue;
             }
-            let routed = scg_route_faulty(&net, &mat, &from, &to, &faults).unwrap();
+            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults).unwrap();
             assert_eq!(walk(&mat, &net, src, &routed.hops), dst);
         }
     }

@@ -1,5 +1,10 @@
 //! Routing: optimal star-graph routing, emulation-based routing on super
 //! Cayley graphs, and exact BFS routing for validation.
+//!
+//! One router serves every super Cayley class: the network's compiled
+//! [`RoutePlan`] (one expansion arena, one packed star-sort kernel), with
+//! [`scg_route`] and [`route_batch`] as thin wrappers over it and
+//! [`scg_route_faulty_with`] as the single fault-aware entry.
 
 mod expand;
 mod fault;
@@ -7,8 +12,8 @@ mod plan;
 mod sort;
 mod star_route;
 
-pub use expand::{star_dimension_parts, StarEmulation};
-pub use fault::{scg_route_faulty, scg_route_faulty_ids, scg_route_faulty_with, RoutedPath};
+pub use expand::star_dimension_parts;
+pub use fault::{scg_route_faulty_with, RoutedPath};
 pub use plan::{BatchState, RouteBuf, RoutePlan};
 pub use sort::{
     bubble_distance, bubble_sort_sequence, rotator_sort_sequence, tn_distance, tn_sort_sequence,
@@ -239,11 +244,8 @@ mod tests {
                 let to = Perm::random(7, &mut rng);
                 let path = scg_route(host, &from, &to).unwrap();
                 assert_eq!(apply_path(&from, &path).unwrap(), to, "{}", host.name());
-                let emu = StarEmulation::new(host).unwrap();
-                assert!(
-                    path.len() as u32
-                        <= emu.star_dilation() as u32 * star_distance_between(&from, &to)
-                );
+                let dilation = route_plan(host).unwrap().star_dilation();
+                assert!(path.len() as u32 <= dilation as u32 * star_distance_between(&from, &to));
             }
         }
     }
@@ -294,17 +296,25 @@ mod tests {
 
     #[test]
     fn bfs_route_cap_enforced() {
+        // With cap = 1 only `from` is expanded: its neighbours are reached,
+        // anything farther trips the cap.
         let star = crate::classes::StarGraph::new(6).unwrap();
         let mut rng = XorShift64::new(3);
         let from = Perm::random(6, &mut rng);
         let mut to = Perm::random(6, &mut rng);
-        while to == from {
+        while star_distance_between(&from, &to) < 2 {
             to = Perm::random(6, &mut rng);
         }
         assert!(matches!(
             bfs_route(&star, &from, &to, 1),
-            Err(CoreError::TooLarge { .. }) | Ok(_)
+            Err(CoreError::TooLarge {
+                num_nodes: 2,
+                cap: 1
+            })
         ));
+        let t3 = Generator::transposition(3);
+        let next = t3.apply(&from).unwrap();
+        assert_eq!(bfs_route(&star, &from, &next, 1).unwrap(), vec![t3]);
     }
 
     #[test]

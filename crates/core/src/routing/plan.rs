@@ -1,20 +1,22 @@
 //! The compiled route planner: per-network expansion arenas.
 //!
-//! [`StarEmulation`] proves the theorems but allocates a fresh cascade of
-//! tiny `Vec<Generator>`s on every expansion — fine for validation, wrong
-//! for the hot path. A [`RoutePlan`] runs that logic **once per network**:
-//! at construction it expands every star link `T_2..T_k` (Theorems 1–3)
-//! and every transposition-network link `T_{i,j}` (the six-case table of
-//! Theorems 6–7) into a single flat `Generator` arena indexed by
-//! per-link offsets. After that, a link expansion is a pure slice lookup
+//! The crate-private star emulation proves the theorems but allocates a
+//! fresh cascade of tiny `Vec<Generator>`s on every expansion — fine for
+//! validation, wrong for the hot path. A [`RoutePlan`] runs that logic
+//! **once per network**: at construction it expands every star link
+//! `T_2..T_k` (Theorems 1–3) and every transposition-network link
+//! `T_{i,j}` (the six-case table of Theorems 6–7) into a single flat
+//! `Generator` arena indexed by per-link offsets. After that, a link expansion is a pure slice lookup
 //! and a full route is the greedy star-sort loop writing
 //! `extend_from_slice` into a caller-supplied reusable [`RouteBuf`] — zero
 //! heap allocation on the steady-state path.
 //!
-//! Since the packed-kernel rewrite the star-sort itself runs on
-//! [`PackedPerm`] words whenever `k ≤ 16` (every class the paper names):
-//! the relative permutation is one `u64`, moves are nibble swaps, and
-//! cycle openings are mask/ctz selection. Batches go through
+//! The star-sort itself runs on [`PackedPerm`] words: the relative
+//! permutation is one `u64`, moves are nibble swaps, and cycle openings
+//! are mask/ctz selection. Routing a pair therefore needs `k ≤ 16`
+//! (every shape the paper names); plans still build up to `k = 20`, so
+//! link lookups work there, but routing a pair at `k > 16` is refused
+//! with [`PermError::PackedDegreeOutOfRange`]. Batches go through
 //! [`RoutePlan::route_chunk`], which keeps per-pair state in parallel
 //! `u64` lanes ([`BatchState`]) so the pack pass autovectorizes.
 //!
@@ -43,8 +45,8 @@
 //! # }
 //! ```
 
-use scg_perm::cast::{len_u32, sym_u8};
-use scg_perm::{PackedPerm, Perm, MAX_DEGREE, MAX_PACKED_DEGREE, PACKED_IDENTITY};
+use scg_perm::cast::len_u32;
+use scg_perm::{PackedPerm, Perm, PermError, MAX_PACKED_DEGREE, PACKED_IDENTITY};
 
 use crate::classes::SuperCayleyGraph;
 use crate::error::CoreError;
@@ -72,7 +74,7 @@ pub struct RoutePlan {
 }
 
 impl RoutePlan {
-    /// Compiles the plan for `net` by running the [`StarEmulation`]
+    /// Compiles the plan for `net` by running the star-emulation
     /// expansions once for every link.
     ///
     /// Cost is `O(k²)` expansions and is independent of the `k!` node
@@ -126,8 +128,7 @@ impl RoutePlan {
         self.k
     }
 
-    /// Worst-case star-link expansion length (the Theorem 1–3 dilation);
-    /// same value as [`StarEmulation::star_dilation`].
+    /// Worst-case star-link expansion length: the Theorem 1–3 dilation.
     #[must_use]
     pub fn star_dilation(&self) -> usize {
         self.dilation
@@ -197,21 +198,31 @@ impl RoutePlan {
     /// link's precompiled expansion to `buf`. The buffer is cleared
     /// first; on success it holds the full generator path.
     ///
-    /// For `k ≤ 16` the loop runs on the bit-packed kernel — the relative
-    /// permutation `to⁻¹ ∘ from` lives in one `u64`
-    /// ([`PackedPerm`]), each move is a nibble swap, and cycle openings
-    /// are mask/count-trailing-zeros selection instead of a positional
-    /// scan. Larger degrees fall back to the byte-array walk; both paths
-    /// emit byte-identical hop sequences.
+    /// The loop runs on the bit-packed kernel — the relative permutation
+    /// `to⁻¹ ∘ from` lives in one `u64` ([`PackedPerm`]), each move is a
+    /// nibble swap, and cycle openings are mask/count-trailing-zeros
+    /// selection instead of a positional scan.
     ///
     /// Allocation-free whenever `buf`'s capacity suffices — buffers from
     /// [`new_buf`](RoutePlan::new_buf) always do.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DegreeMismatch`] if either label's degree
-    /// differs from the network's.
+    /// * [`CoreError::DegreeMismatch`] — either label's degree differs
+    ///   from the network's;
+    /// * [`CoreError::Perm`] with [`PermError::PackedDegreeOutOfRange`] —
+    ///   the network has `k > 16`.
     pub fn route_into(&self, from: &Perm, to: &Perm, buf: &mut RouteBuf) -> Result<(), CoreError> {
+        self.check_packed_degree()?;
+        self.check_degrees(from, to)?;
+        buf.hops.clear();
+        self.route_packed(self.pack_pair(from, to), buf);
+        Ok(())
+    }
+
+    /// Both labels must have the network's degree.
+    #[inline]
+    fn check_degrees(&self, from: &Perm, to: &Perm) -> Result<(), CoreError> {
         for p in [from, to] {
             if p.degree() != self.k {
                 return Err(CoreError::DegreeMismatch {
@@ -220,11 +231,15 @@ impl RoutePlan {
                 });
             }
         }
-        buf.hops.clear();
-        if self.k <= MAX_PACKED_DEGREE {
-            self.route_packed(self.pack_pair(from, to), buf);
-        } else {
-            self.route_scan(from, to, buf);
+        Ok(())
+    }
+
+    /// Pair routing runs on the packed kernel only, so it needs
+    /// `k ≤ MAX_PACKED_DEGREE`.
+    #[inline]
+    fn check_packed_degree(&self) -> Result<(), CoreError> {
+        if self.k > MAX_PACKED_DEGREE {
+            return Err(PermError::PackedDegreeOutOfRange { degree: self.k }.into());
         }
         Ok(())
     }
@@ -235,10 +250,7 @@ impl RoutePlan {
     ///
     /// This fuses `pack(to).inverse().compose(pack(from))` into two
     /// `k`-iteration nibble passes (scatter `to⁻¹`, then gather through
-    /// it) — the packed analogue of the byte-array `inv_to` build in
-    /// [`route_scan`](RoutePlan::route_scan), and the reason the packed
-    /// single-pair path beats the byte-array baseline even at `k = 5`.
-    /// A debug assertion pins it to the composed kernel ops.
+    /// it). A debug assertion pins it to the composed kernel ops.
     #[inline]
     fn pack_pair(&self, from: &Perm, to: &Perm) -> u64 {
         let mut inv_to = 0u64;
@@ -272,9 +284,9 @@ impl RoutePlan {
     }
 
     /// The greedy star-sort over one packed relative permutation `w`
-    /// (`to⁻¹ ∘ from`, 0-based nibbles): emits the same expansion
-    /// sequence as the byte-array walk, but each move is a branch-free
-    /// nibble swap and the cycle-opening choice is
+    /// (`to⁻¹ ∘ from`, 0-based nibbles): emits the expansion of
+    /// [`star_route`](crate::star_route)'s optimal route, but each move
+    /// is a branch-free nibble swap and the cycle-opening choice is
     /// `trailing_zeros` over a dirty-lane mask.
     ///
     /// `mask` carries one bit per dirty lane, at the lane's low bit
@@ -282,8 +294,8 @@ impl RoutePlan {
     /// detection — no per-position loop. A move swaps lane 0 with lane
     /// `i`; when the front symbol `s` was foreign (`s != 0`) the move
     /// homes it at lane `i = s`, so exactly that bit clears — sorted
-    /// lanes never go dirty again, mirroring the monotone-cursor
-    /// argument of the legacy scan.
+    /// lanes never go dirty again, so the lowest dirty lane is always
+    /// the first unsorted position.
     fn route_packed(&self, mut w: u64, buf: &mut RouteBuf) {
         /// The low bit of every 4-bit lane.
         const LANE_LSB: u64 = 0x1111_1111_1111_1111;
@@ -308,45 +320,6 @@ impl RoutePlan {
         }
     }
 
-    /// The pre-packed byte-array star-sort, kept as the `k > 16`
-    /// fallback (no super Cayley class needs it below `k = 17`).
-    fn route_scan(&self, from: &Perm, to: &Perm, buf: &mut RouteBuf) {
-        let k = self.k;
-        // The relative permutation `to⁻¹ ∘ from` fused into one pair of
-        // passes over raw symbol bytes: a[i] = position of from's symbol
-        // i+1 inside to.
-        let mut inv_to = [0u8; MAX_DEGREE];
-        for (pos, &sym) in to.symbols().iter().enumerate() {
-            inv_to[sym as usize - 1] = sym_u8(pos + 1);
-        }
-        let mut a = [0u8; MAX_DEGREE];
-        for (i, &sym) in from.symbols().iter().enumerate() {
-            a[i] = inv_to[sym as usize - 1];
-        }
-        // The greedy cycle algorithm of star_sort_sequence over the raw
-        // array. Each move swaps position 1 with an unsorted position and
-        // sorts the latter, so once a position reads sorted it stays
-        // sorted — the cycle-opening scan is a monotone cursor and the
-        // whole loop does no permutation copies.
-        let mut scan = 1usize;
-        loop {
-            let s = a[0];
-            let i = if s != 1 {
-                s as usize
-            } else {
-                while scan < k && a[scan] == sym_u8(scan + 1) {
-                    scan += 1;
-                }
-                if scan == k {
-                    return; // identity reached
-                }
-                scan + 1
-            };
-            buf.hops.extend_from_slice(self.star_link_unchecked(i));
-            a.swap(0, i - 1);
-        }
-    }
-
     /// A reusable [`BatchState`] for [`route_chunk`](RoutePlan::route_chunk)
     /// with a pre-sized hop buffer (see [`new_buf`](RoutePlan::new_buf)).
     #[must_use]
@@ -365,9 +338,8 @@ impl RoutePlan {
     /// word arithmetic over adjacent lanes — the form that
     /// autovectorizes — and confines the hop copies to the emit pass.
     ///
-    /// Above [`MAX_PACKED_DEGREE`] every pair takes the scan fallback of
-    /// [`route_into`](RoutePlan::route_into). Results are identical to
-    /// routing each pair individually, in input order.
+    /// Results are identical to routing each pair individually, in input
+    /// order.
     ///
     /// # Panics
     ///
@@ -375,9 +347,9 @@ impl RoutePlan {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DegreeMismatch`] on the first pair (in input
-    /// order) whose labels do not match the network degree; `out` slots
-    /// already written keep their routes.
+    /// As [`route_into`](RoutePlan::route_into); a degree mismatch is
+    /// reported for the first failing pair in input order. No `out` slot
+    /// is written on error.
     pub fn route_chunk(
         &self,
         pairs: &[(Perm, Perm)],
@@ -385,24 +357,11 @@ impl RoutePlan {
         state: &mut BatchState,
     ) -> Result<(), CoreError> {
         assert_eq!(pairs.len(), out.len(), "pairs/out length mismatch");
-        if self.k > MAX_PACKED_DEGREE {
-            for ((from, to), slot) in pairs.iter().zip(out.iter_mut()) {
-                self.route_into(from, to, &mut state.buf)?;
-                slot.extend_from_slice(state.buf.hops());
-            }
-            return Ok(());
-        }
+        self.check_packed_degree()?;
         state.rel.clear();
         state.rel.reserve(pairs.len());
         for (from, to) in pairs {
-            for p in [from, to] {
-                if p.degree() != self.k {
-                    return Err(CoreError::DegreeMismatch {
-                        expected: self.k,
-                        found: p.degree(),
-                    });
-                }
-            }
+            self.check_degrees(from, to)?;
             state.rel.push(self.pack_pair(from, to));
         }
         for (&w, slot) in state.rel.iter().zip(out.iter_mut()) {
@@ -529,6 +488,7 @@ mod tests {
         for net in all_classes_small() {
             let plan = RoutePlan::build(&net).unwrap();
             let emu = StarEmulation::new(&net).unwrap();
+            assert_eq!(plan.star_dilation(), emu.star_dilation(), "{}", net.name());
             let k = net.degree_k();
             for j in 2..=k {
                 assert_eq!(

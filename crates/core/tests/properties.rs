@@ -4,7 +4,7 @@
 
 use scg_core::{
     apply_path, scg_route, star_distance, star_distance_between, star_route, star_sort_sequence,
-    CayleyNetwork, Generator, StarEmulation, SuperCayleyGraph,
+    CayleyNetwork, Generator, RoutePlan, SuperCayleyGraph,
 };
 use scg_perm::{factorial, Perm, XorShift64};
 
@@ -55,11 +55,11 @@ fn star_expansion_commutes_with_any_start() {
                 SuperCayleyGraph::macro_is(l, n).unwrap(),
                 SuperCayleyGraph::rotation_is(l, n).unwrap(),
             ] {
-                let emu = StarEmulation::new(&host).unwrap();
+                let plan = RoutePlan::build(&host).unwrap();
                 for j in 2..=k {
-                    let seq = emu.expand_star_link(j).unwrap();
+                    let seq = plan.star_link(j).unwrap();
                     assert_eq!(
-                        apply_path(&u, &seq).unwrap(),
+                        apply_path(&u, seq).unwrap(),
                         Generator::transposition(j).apply(&u).unwrap(),
                         "host {} link {}",
                         host.name(),
@@ -77,15 +77,13 @@ fn scg_route_endpoint_and_bound() {
     for (l, n) in SHAPES {
         let k = l * n + 1;
         let host = SuperCayleyGraph::macro_star(l, n).unwrap();
-        let emu = StarEmulation::new(&host).unwrap();
+        let dilation = RoutePlan::build(&host).unwrap().star_dilation();
         for _ in 0..8 {
             let from = rand_perm(k, &mut rng);
             let to = rand_perm(k, &mut rng);
             let path = scg_route(&host, &from, &to).unwrap();
             assert_eq!(apply_path(&from, &path).unwrap(), to);
-            assert!(
-                path.len() as u32 <= emu.star_dilation() as u32 * star_distance_between(&from, &to)
-            );
+            assert!(path.len() as u32 <= dilation as u32 * star_distance_between(&from, &to));
             // Every link on the path is a defined host generator.
             for g in &path {
                 assert!(host.generators().contains(g));
@@ -105,14 +103,14 @@ fn tn_expansion_correct_for_random_pairs() {
             _ => SuperCayleyGraph::insertion_selection(7).unwrap(),
         };
         let k = host.degree_k();
-        let emu = StarEmulation::new(&host).unwrap();
+        let plan = RoutePlan::build(&host).unwrap();
         for _ in 0..16 {
             let u = rand_perm(k, &mut rng);
             let i = 1 + rng.gen_range(k - 1);
             let j = i + 1 + rng.gen_range(k - i);
-            let seq = emu.expand_tn_link(i, j).unwrap();
+            let seq = plan.tn_link(i, j).unwrap();
             assert_eq!(
-                apply_path(&u, &seq).unwrap(),
+                apply_path(&u, seq).unwrap(),
                 Generator::exchange(i, j).apply(&u).unwrap(),
                 "host {} pair ({}, {})",
                 host.name(),

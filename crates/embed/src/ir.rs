@@ -29,7 +29,10 @@
 
 use std::sync::Arc;
 
-use scg_core::{scg_route_faulty_ids, Materialized, SuperCayleyGraph};
+use scg_core::{
+    route_plan, scg_route_faulty_with, CayleyNetwork, CoreError, Materialized, RoutePlan,
+    SuperCayleyGraph,
+};
 use scg_graph::{DenseGraph, FaultSet, NodeId, SurvivorView};
 use scg_perm::cast::len_u32;
 
@@ -672,9 +675,39 @@ pub struct ReembedReport {
     pub rerouted: usize,
 }
 
+/// Routes `src → dst` (materialized node ids) around `faults` with
+/// [`scg_route_faulty_with`] and replays the generator hops through the
+/// transition tables, returning the node-id walk inclusive of both
+/// endpoints. A self-route yields the single-node path `[src]`.
+fn route_faulty_ids(
+    plan: &RoutePlan,
+    net: &SuperCayleyGraph,
+    mat: &Materialized,
+    src: NodeId,
+    dst: NodeId,
+    faults: &FaultSet,
+) -> Result<Vec<NodeId>, CoreError> {
+    let from = mat.node_label(src)?;
+    let to = mat.node_label(dst)?;
+    let routed = scg_route_faulty_with(plan, net, mat, &from, &to, faults)?;
+    let mut path = Vec::with_capacity(routed.len() + 1);
+    path.push(src);
+    let mut cur = src;
+    for g in routed.hops {
+        let gi = net
+            .generators()
+            .iter()
+            .position(|&h| h == g)
+            .ok_or(CoreError::NoRoute)?;
+        cur = mat.neighbor_id(cur, gi);
+        path.push(cur);
+    }
+    Ok(path)
+}
+
 /// Fault-aware re-embedding over a super Cayley host using the compiled
 /// plan cache: crossing hyperpaths are re-routed by
-/// [`scg_route_faulty_ids`] (emulation route → masked-generator detour →
+/// [`scg_route_faulty_with`] (emulation route → masked-generator detour →
 /// survivor BFS), so re-embedding shares the detour machinery and metric
 /// hooks of fault-tolerant routing.
 ///
@@ -694,9 +727,10 @@ pub fn reembed_scg(
             reason: "materialized network does not match the embedding host".into(),
         });
     }
+    let plan = route_plan(net)?;
     let view = SurvivorView::new(mat.graph(), faults);
     ir.reembed_with(&view, |src, dst| {
-        scg_route_faulty_ids(net, mat, src, dst, faults).ok()
+        route_faulty_ids(&plan, net, mat, src, dst, faults).ok()
     })
 }
 
@@ -722,9 +756,10 @@ pub fn reembed_scg_rebalanced(
             reason: "materialized network does not match the embedding host".into(),
         });
     }
+    let plan = route_plan(net)?;
     let view = SurvivorView::new(mat.graph(), faults);
     ir.reembed_rebalanced(&view, |src, dst| {
-        scg_route_faulty_ids(net, mat, src, dst, faults).ok()
+        route_faulty_ids(&plan, net, mat, src, dst, faults).ok()
     })
 }
 
@@ -808,7 +843,8 @@ impl IrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scg_core::{linear_array, ring};
+    use scg_core::{linear_array, materialize, ring, SMALL_NET_CAP};
+    use scg_perm::{Perm, XorShift64};
 
     fn ring_identity_ir() -> EmbeddingIr {
         let g = ring(5);
@@ -879,6 +915,46 @@ mod tests {
             bad4,
             Err(EmbedError::InvalidPath { guest_edge: 1 })
         ));
+    }
+
+    #[test]
+    fn fault_route_ids_walk_live_host_links() {
+        let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
+        let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
+        let mut rng = XorShift64::new(41);
+        let faults = FaultSet::random_nodes(mat.num_nodes(), 2, &[], &mut rng);
+        for _ in 0..10 {
+            let from = Perm::random(5, &mut rng);
+            let to = Perm::random(5, &mut rng);
+            let (src, dst) = (mat.node_id(&from).unwrap(), mat.node_id(&to).unwrap());
+            if faults.node_failed(src) || faults.node_failed(dst) {
+                continue;
+            }
+            let path = route_faulty_ids(&plan, &net, &mat, src, dst, &faults).unwrap();
+            assert_eq!(path[0], src);
+            assert_eq!(*path.last().unwrap(), dst);
+            // Every hop is a live materialized link.
+            for w in path.windows(2) {
+                assert!(!faults.blocks(w[0], w[1]));
+                assert!(
+                    (0..mat.node_degree()).any(|g| mat.neighbor_id(w[0], g) == w[1]),
+                    "hop is not a host link"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fault_route_ids_self_route_is_the_single_node_path() {
+        let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
+        let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+        let plan = route_plan(&net).unwrap();
+        let uid = mat.node_id(&Perm::identity(5)).unwrap();
+        assert_eq!(
+            route_faulty_ids(&plan, &net, &mat, uid, uid, &FaultSet::new()).unwrap(),
+            vec![uid]
+        );
     }
 
     #[test]

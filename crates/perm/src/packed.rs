@@ -3,10 +3,11 @@
 //! For `k ≤ 16` a permutation of `1..=k` fits a single machine word at
 //! 4 bits per symbol, and the group operations the routing hot path bottoms
 //! out in — compose, inverse, generator application — become short
-//! branch-free sequences of shifts and masks over that word. This module is
-//! the kernel ROADMAP item 2 asks for; `scg_core`'s route planner sits on
-//! it whenever the network degree allows and falls back to the `[u8]`
-//! scan path above [`MAX_PACKED_DEGREE`].
+//! branch-free sequences of shifts and masks over that word. `scg_core`'s
+//! route planner runs every pair route on this kernel and has no other
+//! path: above [`MAX_PACKED_DEGREE`] it refuses the route with the same
+//! [`PackedDegreeOutOfRange`](crate::PermError::PackedDegreeOutOfRange)
+//! error that [`PackedPerm::pack`] returns.
 //!
 //! # Bit layout
 //!

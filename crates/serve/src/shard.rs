@@ -639,6 +639,37 @@ mod tests {
     }
 
     #[test]
+    fn routes_above_the_packed_degree_get_typed_error_frames() {
+        // IS(17) resolves and compiles a plan, but routing a pair needs
+        // k <= 16: ROUTE and ROUTE_BATCH are both answered with a typed
+        // error frame, not a panic or a dropped connection.
+        let mut core = shard();
+        let is17 = NetId {
+            class: ScgClass::InsertionSelection,
+            levels: 1,
+            box_size: 16,
+        };
+        let from = Perm::identity(17);
+        let to = Perm::from_rank(17, 12_345).expect("rank in range");
+        for req in [
+            Request::Route {
+                net: is17,
+                from,
+                to,
+            },
+            Request::RouteBatch {
+                net: is17,
+                pairs: vec![(from, to), (to, from)],
+            },
+        ] {
+            match exchange(&mut core, &req) {
+                Reply::Error { code, .. } => assert_eq!(code, ErrCode::BadNetwork),
+                other => panic!("expected an Error reply, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn malformed_and_unknown_frames_get_typed_errors() {
         let mut core = shard();
         let mut out = Vec::new();

@@ -4,7 +4,8 @@
 //! Run with `cargo run --release --example fault_routing`.
 
 use supercayley::core::{
-    materialize, scg_route, scg_route_faulty, CayleyNetwork, SuperCayleyGraph, SMALL_NET_CAP,
+    materialize, route_plan, scg_route, scg_route_faulty_with, CayleyNetwork, SuperCayleyGraph,
+    SMALL_NET_CAP,
 };
 use supercayley::graph::{vertex_connectivity, FaultSet, SurvivorView};
 use supercayley::perm::{Perm, XorShift64};
@@ -51,8 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         view.is_strongly_connected()
     );
 
-    // ...and the fault-aware router detours around the dead link.
-    let routed = scg_route_faulty(&ms, &mat, &from, &to, &faults)?;
+    // ...and the fault-aware router, walking the network's compiled plan,
+    // detours around the dead link.
+    let compiled = route_plan(&ms)?;
+    let routed = scg_route_faulty_with(&compiled, &ms, &mat, &from, &to, &faults)?;
     println!(
         "fault-aware     : {} hops, {} detour(s), fallback = {}",
         routed.len(),

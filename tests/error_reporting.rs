@@ -5,7 +5,7 @@ use std::error::Error as _;
 
 use supercayley::bag::BagGame;
 use supercayley::comm::CommError;
-use supercayley::core::{CoreError, SuperCayleyGraph};
+use supercayley::core::{route_plan, CoreError, SuperCayleyGraph};
 use supercayley::embed::EmbedError;
 use supercayley::emu::{AllPortSchedule, EmuError};
 use supercayley::graph::{GraphError, SearchBudget};
@@ -27,8 +27,8 @@ fn perm_errors_render() {
 #[test]
 fn packed_degree_rejection_is_typed_and_pinned() {
     // The packed kernel refuses k > 16 with a typed error, never a panic
-    // or a silent truncation; the routing layer falls back to the byte
-    // array walk instead of ever seeing this error.
+    // or a silent truncation; routing a pair surfaces the same error,
+    // wrapped, while the plan itself still builds and serves link lookups.
     let e = supercayley::perm::PackedPerm::pack(&Perm::identity(17)).unwrap_err();
     assert!(matches!(
         e,
@@ -38,6 +38,25 @@ fn packed_degree_rejection_is_typed_and_pinned() {
         e.to_string(),
         "degree 17 exceeds the packed-kernel limit 16"
     );
+
+    let is17 = SuperCayleyGraph::insertion_selection(17).unwrap();
+    let plan = route_plan(&is17).unwrap();
+    assert_eq!(plan.star_link(17).unwrap().len(), 2);
+    let (from, to) = (Perm::identity(17), Perm::from_rank(17, 12_345).unwrap());
+    let mut buf = plan.new_buf();
+    let refused = |r: Result<(), CoreError>| {
+        matches!(
+            r,
+            Err(CoreError::Perm(PermError::PackedDegreeOutOfRange {
+                degree: 17
+            }))
+        )
+    };
+    assert!(refused(plan.route_into(&from, &to, &mut buf)));
+    let (mut out, mut state) = (vec![Vec::new()], plan.new_batch_state());
+    let chunk = plan.route_chunk(&[(from, to)], &mut out, &mut state);
+    assert!(refused(chunk));
+    assert!(out[0].is_empty(), "a refused chunk writes no route");
 }
 
 #[test]

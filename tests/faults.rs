@@ -1,13 +1,13 @@
 //! Fault-tolerance properties across all ten classes at Table II sizes
 //! (k = 5, 120 nodes): connectivity equals degree (verified by the
 //! max-flow audit), any `degree − 1` node faults leave the survivors
-//! strongly connected, and `scg_route_faulty` delivers every sampled pair
+//! strongly connected, and `scg_route_faulty_with` delivers every sampled pair
 //! under such faults — within the dilation bound whenever no fault
 //! handling fired.
 
 use supercayley::core::{
-    materialize, scg_route_faulty, star_distance_between, CayleyNetwork, CoreError, Generator,
-    Materialized, StarEmulation, SuperCayleyGraph, SMALL_NET_CAP,
+    materialize, route_plan, scg_route_faulty_with, star_distance_between, CayleyNetwork,
+    CoreError, Generator, Materialized, SuperCayleyGraph, SMALL_NET_CAP,
 };
 use supercayley::graph::{edge_connectivity, vertex_connectivity, FaultSet, SurvivorView};
 use supercayley::perm::{Perm, XorShift64};
@@ -115,7 +115,7 @@ fn faulty_routing_delivers_every_sampled_pair() {
     for net in ten_classes() {
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
         let degree = distinct_degree(&mat);
-        let emu = StarEmulation::new(&net).unwrap();
+        let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(0xFA20);
         let faults = FaultSet::random_nodes(mat.num_nodes(), degree - 1, &[], &mut rng);
         let (mut delivered, mut fallbacks, mut detoured) = (0u32, 0u32, 0u32);
@@ -129,7 +129,7 @@ fn faulty_routing_delivers_every_sampled_pair() {
                 continue;
             }
             sampled += 1;
-            let routed = scg_route_faulty(&net, &mat, &from, &to, &faults)
+            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults)
                 .unwrap_or_else(|e| panic!("{}: {src} → {dst} failed: {e}", net.name()));
             assert_eq!(walk_avoiding(&net, &mat, &faults, src, &routed.hops), dst);
             delivered += 1;
@@ -138,7 +138,7 @@ fn faulty_routing_delivers_every_sampled_pair() {
             if routed.detours == 0 && !routed.fallback_used {
                 assert!(
                     routed.len() as u32
-                        <= emu.star_dilation() as u32 * star_distance_between(&from, &to),
+                        <= plan.star_dilation() as u32 * star_distance_between(&from, &to),
                     "{}: clean route exceeds the dilation bound",
                     net.name()
                 );
@@ -159,8 +159,9 @@ fn route_to_failed_destination_reports_no_route() {
     let to = Perm::from_rank(5, 42).unwrap();
     let mut faults = FaultSet::new();
     faults.fail_node(mat.node_id(&to).unwrap());
+    let plan = route_plan(&net).unwrap();
     assert!(matches!(
-        scg_route_faulty(&net, &mat, &from, &to, &faults),
+        scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults),
         Err(CoreError::NoRoute)
     ));
 }

@@ -14,7 +14,7 @@
 //! exposition byte-for-byte against `tests/golden/route_metrics.txt`.
 
 use supercayley::core::{
-    materialize, scg_route, star_distance_between, CayleyNetwork, ScgClass, StarEmulation,
+    materialize, route_plan, scg_route, star_distance_between, CayleyNetwork, ScgClass,
     SuperCayleyGraph, SMALL_NET_CAP,
 };
 use supercayley::emu::{Packet, PortModel, SimStats, SyncSim, TableRouter};
@@ -119,7 +119,7 @@ fn route_sweep_snapshot() -> Snapshot {
         let name = net.name();
         let labels = [("network", name.as_str())];
         let mat = materialize(&net, SMALL_NET_CAP).expect("120 nodes under cap");
-        let emu = StarEmulation::new(&net).expect("star emulation for star nuclei");
+        let dilation = route_plan(&net).expect("plan compiles").star_dilation() as u32;
         let requests = reg.counter("route_requests_total", &labels);
         let hops = reg.histogram("route_hops", &labels, &HOPS_BOUNDS);
         let mut rng = XorShift64::new(0x60_1D);
@@ -133,7 +133,7 @@ fn route_sweep_snapshot() -> Snapshot {
             let to = mat.node_label(d).expect("rank in range");
             let path = scg_route(&net, &from, &to).expect("route exists");
             assert!(
-                path.len() as u32 <= emu.star_dilation() as u32 * star_distance_between(&from, &to),
+                path.len() as u32 <= dilation * star_distance_between(&from, &to),
                 "{name}: {s}->{d} exceeded the dilation bound"
             );
             requests.inc();

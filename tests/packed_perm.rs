@@ -4,7 +4,7 @@
 //! by seeded random sweep at the larger packed degrees (`k = 9..=16`),
 //! and through the routing stack, where the packed star-sort must emit
 //! byte-identical hop sequences to the legacy expansion on all ten
-//! `k = 5` classes.
+//! `k = 5` classes and on the `k = 9` / `k = 13` benchmark shapes.
 
 use supercayley::core::{route_plan, star_route, CayleyNetwork, Generator, SuperCayleyGraph};
 use supercayley::perm::{PackedPerm, Perm, Permutations, XorShift64, MAX_PACKED_DEGREE};
@@ -189,7 +189,9 @@ fn compose_dispatch_is_bit_identical_to_scalar_everywhere() {
 /// The packed `route_into` emits hop sequences byte-identical to the
 /// legacy path — the optimal star route expanded link by link through the
 /// plan's precompiled slices — on **every ordered pair** of `S_5` labels,
-/// on **all ten** `k = 5` classes (144 000 routed pairs).
+/// on **all ten** `k = 5` classes (144 000 routed pairs), and on 512
+/// seeded pairs per host on the `k = 9` and `k = 13` shapes that
+/// `bench_routing` sweeps.
 #[test]
 fn route_into_is_byte_identical_to_legacy_on_all_ten_k5_classes() {
     let hosts = [
@@ -205,27 +207,48 @@ fn route_into_is_byte_identical_to_legacy_on_all_ten_k5_classes() {
         SuperCayleyGraph::complete_rotation_is(2, 2).unwrap(),
     ];
     let labels: Vec<Perm> = Permutations::lexicographic(5).collect();
+    let all_pairs: Vec<(Perm, Perm)> = labels
+        .iter()
+        .flat_map(|from| labels.iter().map(move |to| (*from, *to)))
+        .collect();
     for net in &hosts {
-        let plan = route_plan(net).unwrap();
-        let mut buf = plan.new_buf();
-        let mut legacy: Vec<Generator> = Vec::new();
-        for from in &labels {
-            for to in &labels {
-                plan.route_into(from, to, &mut buf).unwrap();
-                legacy.clear();
-                for g in star_route(from, to) {
-                    let Generator::Transposition { i } = g else {
-                        unreachable!("star routes consist of transpositions")
-                    };
-                    legacy.extend_from_slice(plan.star_link(i as usize).unwrap());
-                }
-                assert_eq!(
-                    buf.hops(),
-                    legacy.as_slice(),
-                    "{}: {from} -> {to}",
-                    net.name()
-                );
-            }
+        assert_route_into_matches_star_route_expansion(net, &all_pairs);
+    }
+    let large = [
+        SuperCayleyGraph::macro_star(4, 2).unwrap(),
+        SuperCayleyGraph::complete_rotation_star(4, 2).unwrap(),
+        SuperCayleyGraph::insertion_selection(9).unwrap(),
+        SuperCayleyGraph::macro_is(4, 2).unwrap(),
+        SuperCayleyGraph::macro_star(6, 2).unwrap(),
+    ];
+    for net in &large {
+        let k = net.degree_k();
+        let mut rng = XorShift64::new(0xB52 + k as u64);
+        let pairs: Vec<(Perm, Perm)> = (0..512)
+            .map(|_| (Perm::random(k, &mut rng), Perm::random(k, &mut rng)))
+            .collect();
+        assert_route_into_matches_star_route_expansion(net, &pairs);
+    }
+}
+
+fn assert_route_into_matches_star_route_expansion(net: &SuperCayleyGraph, pairs: &[(Perm, Perm)]) {
+    let plan = route_plan(net).unwrap();
+    let mut buf = plan.new_buf();
+    let mut legacy: Vec<Generator> = Vec::new();
+    for (from, to) in pairs {
+        plan.route_into(from, to, &mut buf).unwrap();
+        legacy.clear();
+        for g in star_route(from, to) {
+            let Generator::Transposition { i } = g else {
+                unreachable!("star routes consist of transpositions")
+            };
+            legacy.extend_from_slice(plan.star_link(i as usize).unwrap());
         }
+        assert_eq!(
+            buf.hops(),
+            legacy.as_slice(),
+            "{}: {from} -> {to}",
+            net.name()
+        );
     }
 }

@@ -108,7 +108,7 @@ fn te_tradeoff_shape() {
 #[test]
 fn routed_hops_respect_dilation_bounds() {
     use supercayley::core::{
-        materialize, scg_route, star_distance_between, StarEmulation, SMALL_NET_CAP,
+        materialize, route_plan, scg_route, star_distance_between, SMALL_NET_CAP,
     };
     for net in [
         SuperCayleyGraph::macro_star(2, 2).unwrap(), // dilation 3
@@ -117,7 +117,7 @@ fn routed_hops_respect_dilation_bounds() {
         SuperCayleyGraph::macro_is(2, 2).unwrap(),   // dilation 4
     ] {
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
-        let emu = StarEmulation::new(&net).unwrap();
+        let dilation = route_plan(&net).unwrap().star_dilation() as u32;
         let mut rng = supercayley::perm::XorShift64::new(0xD11A);
         for _ in 0..50 {
             let s = rng.gen_range(mat.num_nodes()) as supercayley::graph::NodeId;
@@ -126,7 +126,7 @@ fn routed_hops_respect_dilation_bounds() {
             let to = mat.node_label(d).unwrap();
             let path = scg_route(&net, &from, &to).unwrap();
             assert!(
-                path.len() as u32 <= emu.star_dilation() as u32 * star_distance_between(&from, &to),
+                path.len() as u32 <= dilation * star_distance_between(&from, &to),
                 "{}: {s}->{d} took {} hops",
                 net.name(),
                 path.len()

@@ -1,11 +1,11 @@
-//! Cross-crate checks of the compiled route planner: plan lookups are
-//! byte-identical to fresh [`StarEmulation`] output, batch routing equals
+//! Cross-crate checks of the compiled route planner: batch routing equals
 //! sequential routing, and every planned route respects the Theorem 1–3
-//! dilation bound.
+//! dilation bound. (Plan lookups are checked against the star emulation
+//! that builds them inside `scg-core`.)
 
 use supercayley::core::{
     apply_path, route_batch, route_plan, scg_route, star_diameter, star_distance_between,
-    CayleyNetwork, Generator, StarEmulation, SuperCayleyGraph,
+    CayleyNetwork, Generator, SuperCayleyGraph,
 };
 use supercayley::perm::{Perm, XorShift64};
 
@@ -22,36 +22,6 @@ fn all_classes_small() -> Vec<SuperCayleyGraph> {
         SuperCayleyGraph::rotation_is(2, 2).unwrap(),
         SuperCayleyGraph::complete_rotation_is(2, 2).unwrap(),
     ]
-}
-
-/// Every link expansion the shared cached plan serves is byte-identical to
-/// what a fresh `StarEmulation` computes, on all ten classes.
-#[test]
-fn cached_plans_match_fresh_emulation_on_all_classes() {
-    for net in all_classes_small() {
-        let plan = route_plan(&net).unwrap();
-        let emu = StarEmulation::new(&net).unwrap();
-        let k = net.degree_k();
-        assert_eq!(plan.star_dilation(), emu.star_dilation(), "{}", net.name());
-        for j in 2..=k {
-            assert_eq!(
-                plan.star_link(j).unwrap(),
-                emu.expand_star_link(j).unwrap().as_slice(),
-                "{} T_{j}",
-                net.name()
-            );
-        }
-        for i in 1..=k {
-            for j in i + 1..=k {
-                assert_eq!(
-                    plan.tn_link(i, j).unwrap(),
-                    emu.expand_tn_link(i, j).unwrap().as_slice(),
-                    "{} T_{{{i},{j}}}",
-                    net.name()
-                );
-            }
-        }
-    }
 }
 
 /// `route_batch` over several threads returns exactly the routes sequential
