@@ -78,8 +78,7 @@ fn run() -> Result<bool, String> {
     print!("{}", render_text(&analysis, args.verbose));
     if let Some(path) = &args.json {
         let text = to_json(&analysis).encode();
-        // The artifact must survive its own parser before it is written —
-        // the same self-validation `bench_routing` applies to its JSON.
+        // The artifact must survive its own parser before it is written.
         validate_report(&text).map_err(|e| format!("internal: emitted report invalid: {e}"))?;
         std::fs::write(path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
         println!("report written to {}", path.display());

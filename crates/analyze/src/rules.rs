@@ -32,7 +32,7 @@ pub enum RuleId {
     /// `unimplemented!` in library code.
     Scg001,
     /// No cache-bypassing topology construction outside the topology
-    /// engine (`to_graph` / `StarEmulation::new` / `Materialized::build`).
+    /// engine (`to_graph` / `Materialized::build`).
     Scg002,
     /// No potentially lossy `as` casts to narrow integer types in the
     /// symbol/index hot-path crates (`perm`, `core`, `graph`).
@@ -118,9 +118,7 @@ impl RuleId {
             RuleId::Scg001 => {
                 "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in library code"
             }
-            RuleId::Scg002 => {
-                "no to_graph/StarEmulation::new/Materialized::build outside the topology engine"
-            }
+            RuleId::Scg002 => "no to_graph/Materialized::build outside the topology engine",
             RuleId::Scg003 => "no lossy `as` casts to narrow integers in perm/core/graph",
             RuleId::Scg004 => "atomic orderings need an adjacent `// ord:` justification",
             RuleId::Scg005 => "no `let _ =` discards or never-read `_`-bindings in library code",
@@ -169,13 +167,9 @@ pub fn significant(tokens: &[Token]) -> Vec<usize> {
 }
 
 /// Files where the raw topology constructors are the implementation, not a
-/// bypass: the topology engine itself and the route planner/emulation
-/// modules that feed it.
+/// bypass: the topology engine itself and the network trait it builds on.
 fn scg002_allowed(rel_path: &str) -> bool {
-    rel_path == "crates/core/src/topology.rs"
-        || rel_path == "crates/core/src/routing/plan.rs"
-        || rel_path == "crates/core/src/routing/expand.rs"
-        || rel_path == "crates/core/src/network.rs"
+    rel_path == "crates/core/src/topology.rs" || rel_path == "crates/core/src/network.rs"
 }
 
 /// Crates whose index arithmetic SCG003 audits.
@@ -274,27 +268,20 @@ fn scg002(src: &str, tokens: &[Token], sig: &[usize], out: &mut Vec<Violation>) 
                         .to_string(),
                 });
             }
-            head @ ("StarEmulation" | "Materialized")
+            "Materialized"
                 if is_punct(tokens, sig, i + 1, src, ":")
-                    && is_punct(tokens, sig, i + 2, src, ":") =>
+                    && is_punct(tokens, sig, i + 2, src, ":")
+                    && text_at(src, tokens, sig, i + 3) == Some("build")
+                    && is_punct(tokens, sig, i + 4, src, "(") =>
             {
-                let tail = text_at(src, tokens, sig, i + 3);
-                let bypass = match head {
-                    "StarEmulation" => tail == Some("new"),
-                    _ => tail == Some("build"),
-                };
-                if bypass && is_punct(tokens, sig, i + 4, src, "(") {
-                    out.push(Violation {
-                        rule: RuleId::Scg002,
-                        line: tok.line,
-                        col: tok.col,
-                        message: format!(
-                            "`{head}::{}()` rebuilds cached state; go through \
-                             `scg_core::materialize`/`route_plan`",
-                            tail.unwrap_or_default()
-                        ),
-                    });
-                }
+                out.push(Violation {
+                    rule: RuleId::Scg002,
+                    line: tok.line,
+                    col: tok.col,
+                    message: "`Materialized::build()` rebuilds cached state; go through \
+                              `scg_core::materialize`"
+                        .to_string(),
+                });
             }
             _ => {}
         }

@@ -1,6 +1,7 @@
 //! Validates a `results/BENCH_*.json` artifact: it must parse through the
 //! shared [`scg_obs::json`] parser (integers only, no trailing data) and,
-//! for routing artifacts, carry a well-formed acceptance record.
+//! for the `tab_embed` and `tab_chaos` artifacts, carry a well-formed
+//! acceptance record.
 //!
 //! Usage: `check_bench_json <path> [<path>...]` — exits nonzero with a
 //! message on the first malformed file.
@@ -16,138 +17,6 @@ fn check(path: &str) -> Result<(), String> {
         .ok_or_else(|| format!("{path}: missing \"bench\" field"))?
         .as_string(0)
         .map_err(|e| format!("{path}: {e}"))?;
-    if bench == "bench_routing" {
-        let classes = top
-            .get("classes")
-            .ok_or_else(|| format!("{path}: missing \"classes\""))?
-            .as_array(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        if classes.is_empty() {
-            return Err(format!("{path}: empty class sweep"));
-        }
-        let acc = top
-            .get("acceptance")
-            .ok_or_else(|| format!("{path}: missing \"acceptance\""))?
-            .as_object(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        for field in ["scg_route_single_ns", "packed_single_ns"] {
-            acc.get(field)
-                .ok_or_else(|| format!("{path}: acceptance missing \"{field}\""))?
-                .as_u64(0)
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-        let k = acc
-            .get("k")
-            .ok_or_else(|| format!("{path}: acceptance missing \"k\""))?
-            .as_u64(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        if k < 9 {
-            return Err(format!("{path}: acceptance class has k = {k} < 9"));
-        }
-        // The parallel-batch regression gate: `route_batch` at full thread
-        // count must not fall behind its sequential leg (the adaptive
-        // small-batch threshold makes this hold even on one core; the
-        // bench bakes mode-appropriate slack into the flag).
-        let seq = acc
-            .get("batch_seq_pairs_per_s")
-            .ok_or_else(|| format!("{path}: acceptance missing \"batch_seq_pairs_per_s\""))?
-            .as_u64(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let par = acc
-            .get("batch_par_pairs_per_s")
-            .ok_or_else(|| format!("{path}: acceptance missing \"batch_par_pairs_per_s\""))?
-            .as_u64(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let batch_flag = acc
-            .get("batch_par_ge_seq")
-            .ok_or_else(|| format!("{path}: acceptance missing \"batch_par_ge_seq\""))?
-            .as_u64(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        if batch_flag != 1 {
-            return Err(format!(
-                "{path}: parallel batch regressed past sequential \
-                 (batch_par_ge_seq = {batch_flag}, want 1)"
-            ));
-        }
-        let mode = top
-            .get("mode")
-            .ok_or_else(|| format!("{path}: missing \"mode\""))?
-            .as_string(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        // Recheck the full-mode slack independently of the flag so a
-        // bench binary with a broken comparison can't self-certify.
-        if mode == "full" && par * 100 < seq * 90 {
-            return Err(format!(
-                "{path}: parallel batch at {par} pairs/s is below 90% of \
-                 sequential {seq} pairs/s"
-            ));
-        }
-    }
-    if bench == "bench_serve" {
-        let mode = top
-            .get("mode")
-            .ok_or_else(|| format!("{path}: missing \"mode\""))?
-            .as_string(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let degraded = top
-            .get("degraded")
-            .ok_or_else(|| format!("{path}: missing \"degraded\""))?
-            .as_object(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let dfield = |name: &str| -> Result<u64, String> {
-            degraded
-                .get(name)
-                .ok_or_else(|| format!("{path}: degraded missing \"{name}\""))?
-                .as_u64(0)
-                .map_err(|e| format!("{path}: {e}"))
-        };
-        let requests = dfield("requests")?;
-        let delivered = dfield("delivered")?;
-        let refused = dfield("refused")?;
-        if delivered + refused != requests {
-            return Err(format!(
-                "{path}: degraded pairs unaccounted for \
-                 ({delivered} + {refused} != {requests})"
-            ));
-        }
-        let acc = top
-            .get("acceptance")
-            .ok_or_else(|| format!("{path}: missing \"acceptance\""))?
-            .as_object(0)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let afield = |name: &str| -> Result<u64, String> {
-            acc.get(name)
-                .ok_or_else(|| format!("{path}: acceptance missing \"{name}\""))?
-                .as_u64(0)
-                .map_err(|e| format!("{path}: {e}"))
-        };
-        for flag in ["qps_ge_floor", "batch_p99_le_slo", "degraded_accounted"] {
-            let v = afield(flag)?;
-            if v != 1 {
-                return Err(format!("{path}: acceptance flag \"{flag}\" is {v}, want 1"));
-            }
-        }
-        let qps = afield("qps")?;
-        let floor = afield("qps_floor")?;
-        if qps < floor {
-            return Err(format!(
-                "{path}: {qps} route requests/s below floor {floor}"
-            ));
-        }
-        // Independent recheck of the headline claim: the full-mode run
-        // must demonstrate >= 500k route requests/s over loopback.
-        if mode == "full" && qps < 500_000 {
-            return Err(format!(
-                "{path}: full-mode run served only {qps} route requests/s (< 500000)"
-            ));
-        }
-        let ratio = afield("degraded_delivered_x1000")?;
-        if ratio < 850 {
-            return Err(format!(
-                "{path}: degraded-mode delivered ratio {ratio}/1000 < 850"
-            ));
-        }
-    }
     if bench == "tab_embed" {
         let classes = top
             .get("classes")

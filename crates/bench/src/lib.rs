@@ -1,18 +1,16 @@
-//! Shared plumbing for the experiment binaries and wall-clock benches that
-//! regenerate every figure and theorem-table of the paper.
+//! Shared plumbing for the experiment binaries that regenerate every
+//! figure and theorem-table of the paper.
 //!
 //! Each experiment id from DESIGN.md has a binary (`cargo run --release -p
-//! scg-bench --bin <id>`) printing the reproduced artifact, and a bench
-//! (`cargo bench -p scg-bench`) timing its core computation on the
-//! [`bench`] harness. This library holds the host rosters and the
-//! plain-text table writer they share.
+//! scg-bench --bin <id>`) printing the reproduced artifact. This library
+//! holds the host rosters and the plain-text table writer they share.
+//! Timing lives in one place only: the seeded benchmark package in
+//! `src/bin/benchmark/` (see `BENCHMARK.json` at the repository root).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use scg_core::{CoreError, SuperCayleyGraph};
-
-pub mod bench;
 
 /// A plain-text table writer (fixed-width columns, markdown-ish rules).
 #[derive(Debug, Clone, Default)]

@@ -176,33 +176,10 @@ impl PackedPerm {
     /// [`Perm::compose`]; mixed degrees have no group meaning but stay
     /// valid words).
     ///
-    /// With the `simd` feature enabled on an x86-64 with SSSE3, the
-    /// sixteen nibble gathers run as a single `pshufb` shuffle (see
-    /// [`simd`](self) notes on [`compose_scalar`](PackedPerm::compose_scalar));
-    /// otherwise — no feature, non-x86, or an SSSE3-less CPU at runtime —
-    /// the scalar nibble-gather runs. Both legs return bit-identical
-    /// words (differentially tested over all of `S_7` and seeded sweeps
-    /// to `k = 16`).
+    /// Sixteen nibble gathers — each one shift-mask-shift, no branches,
+    /// no memory traffic.
     #[must_use]
     pub fn compose(self, other: PackedPerm) -> PackedPerm {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::ssse3_available() {
-            // SAFETY: guarded by runtime SSSE3 detection on this exact
-            // code path.
-            return unsafe { simd::compose_ssse3(self, other) };
-        }
-        self.compose_scalar(other)
-    }
-
-    /// The scalar leg of [`compose`](PackedPerm::compose): sixteen nibble
-    /// gathers — each one shift-mask-shift, no branches, no memory
-    /// traffic.
-    ///
-    /// Always available; it is the reference the `simd` leg is
-    /// differentially tested against, and what `compose` runs when the
-    /// feature is off or the CPU lacks SSSE3.
-    #[must_use]
-    pub fn compose_scalar(self, other: PackedPerm) -> PackedPerm {
         let a = self.0;
         let mut t = other.0;
         let mut out = 0u64;
@@ -310,75 +287,6 @@ impl PackedPerm {
     }
 }
 
-/// The `pshufb` leg of [`PackedPerm::compose`], compiled only under the
-/// opt-in `simd` feature on x86-64.
-///
-/// A nibble gather `out[i] = a[t[i]]` is exactly what `pshufb`
-/// (`_mm_shuffle_epi8`) computes over bytes, so the kernel is: spread
-/// both words' 16 nibbles into 16 bytes of an XMM register, shuffle,
-/// and repack the gathered bytes into nibbles. SSSE3 is not part of the
-/// x86-64 baseline, so dispatch is guarded by runtime detection — CPUs
-/// without it silently keep the scalar path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use super::PackedPerm;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_maddubs_epi16,
-        _mm_packus_epi16, _mm_set1_epi16, _mm_set1_epi8, _mm_shuffle_epi8, _mm_srli_epi64,
-        _mm_unpacklo_epi8,
-    };
-
-    /// Whether the running CPU supports SSSE3 (`pshufb`).
-    #[inline]
-    #[must_use]
-    pub fn ssse3_available() -> bool {
-        std::arch::is_x86_feature_detected!("ssse3")
-    }
-
-    /// Spreads the 16 packed nibbles of `w` into the 16 bytes of an XMM
-    /// register, lane `i` = nibble `i`.
-    ///
-    /// # Safety
-    ///
-    /// Requires SSE2 (x86-64 baseline) — callers are inside an SSSE3
-    /// `target_feature` region, which implies it.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn spread_nibbles(w: u64) -> __m128i {
-        let v = _mm_cvtsi64_si128(w as i64);
-        let lo_mask = _mm_set1_epi8(0x0F);
-        // Even lanes from the low nibble of each byte, odd lanes from the
-        // high nibble; interleaving restores packed-nibble order.
-        let even = _mm_and_si128(v, lo_mask);
-        let odd = _mm_and_si128(_mm_srli_epi64::<4>(v), lo_mask);
-        _mm_unpacklo_epi8(even, odd)
-    }
-
-    /// `a ∘ t` over packed words via one `pshufb`: byte lane `i` of the
-    /// shuffle output is `a_bytes[t_bytes[i]]`, the nibble gather of the
-    /// scalar loop. High bits of every `t` byte are clear (nibbles < 16),
-    /// so `pshufb`'s sign-bit zeroing rule never fires.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the running CPU supports SSSE3 (e.g. via
-    /// [`ssse3_available`]); `PackedPerm::compose` does exactly that.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn compose_ssse3(a: PackedPerm, t: PackedPerm) -> PackedPerm {
-        let a_bytes = spread_nibbles(a.0);
-        let t_bytes = spread_nibbles(t.0);
-        let gathered = _mm_shuffle_epi8(a_bytes, t_bytes);
-        // Repack 16 bytes (each < 16) into 16 nibbles: per 16-bit lane
-        // compute lo + 16·hi with a multiply-add against [1, 16], then
-        // narrow the eight u16 results (< 256, saturation never fires)
-        // back to bytes.
-        let packed16 = _mm_maddubs_epi16(gathered, _mm_set1_epi16(0x1001));
-        let packed8 = _mm_packus_epi16(packed16, packed16);
-        PackedPerm(_mm_cvtsi128_si64(packed8) as u64)
-    }
-}
-
 impl std::fmt::Debug for PackedPerm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PackedPerm({:#018x})", self.0)
@@ -456,23 +364,6 @@ mod tests {
                     PackedPerm::pack(&a.compose(b)).unwrap(),
                     "{a} ∘ {b}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn compose_dispatch_matches_scalar_leg() {
-        // `compose` (whatever leg dispatch picks — SSSE3 under the `simd`
-        // feature on a capable CPU, scalar otherwise) must be
-        // bit-identical to `compose_scalar`. The root-level
-        // `tests/packed_perm.rs` harness widens this to all of S_7 and
-        // seeded sweeps to k = 16.
-        let mut rng = XorShift64::new(0x51D);
-        for k in 1..=MAX_PACKED_DEGREE {
-            for _ in 0..200 {
-                let a = PackedPerm::pack(&Perm::random(k, &mut rng)).unwrap();
-                let b = PackedPerm::pack(&Perm::random(k, &mut rng)).unwrap();
-                assert_eq!(a.compose(b), a.compose_scalar(b), "k={k} {a} ∘ {b}");
             }
         }
     }

@@ -4,7 +4,7 @@
 //! by seeded random sweep at the larger packed degrees (`k = 9..=16`),
 //! and through the routing stack, where the packed star-sort must emit
 //! byte-identical hop sequences to the legacy expansion on all ten
-//! `k = 5` classes and on the `k = 9` / `k = 13` benchmark shapes.
+//! `k = 5` classes and on seeded `k = 9` / `k = 13` shapes.
 
 use supercayley::core::{route_plan, star_route, CayleyNetwork, Generator, SuperCayleyGraph};
 use supercayley::perm::{PackedPerm, Perm, Permutations, XorShift64, MAX_PACKED_DEGREE};
@@ -151,47 +151,11 @@ fn random_sweeps_match_perm_at_degrees_9_to_16() {
     }
 }
 
-/// Whatever leg the `compose` dispatch picks — the `pshufb` SIMD kernel
-/// under the opt-in `simd` feature on an SSSE3-capable CPU, the scalar
-/// nibble-gather otherwise — it is bit-identical to `compose_scalar`:
-/// exhaustively over every ordered pair of `S_7` (25 401 600 pairs,
-/// split across scoped threads like the reference sweep above), then by
-/// seeded sweep at every packed degree `9..=16`. On the default leg
-/// this pins dispatch ≡ scalar; under `--features simd` it is the
-/// differential proof for the vector kernel.
-#[test]
-fn compose_dispatch_is_bit_identical_to_scalar_everywhere() {
-    let group = packed_group(7);
-    let workers = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let chunk = group.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for lefts in group.chunks(chunk) {
-            let group = &group;
-            scope.spawn(move || {
-                for (a, pa) in lefts {
-                    for (b, pb) in group {
-                        assert_eq!(pa.compose(*pb), pa.compose_scalar(*pb), "{a} ∘ {b}");
-                    }
-                }
-            });
-        }
-    });
-    let mut rng = XorShift64::new(0x51D_C0DE);
-    for k in 9..=MAX_PACKED_DEGREE {
-        for _ in 0..500 {
-            let pa = PackedPerm::pack(&Perm::random(k, &mut rng)).unwrap();
-            let pb = PackedPerm::pack(&Perm::random(k, &mut rng)).unwrap();
-            assert_eq!(pa.compose(pb), pa.compose_scalar(pb), "k={k}: {pa} ∘ {pb}");
-        }
-    }
-}
-
 /// The packed `route_into` emits hop sequences byte-identical to the
 /// legacy path — the optimal star route expanded link by link through the
 /// plan's precompiled slices — on **every ordered pair** of `S_5` labels,
 /// on **all ten** `k = 5` classes (144 000 routed pairs), and on 512
-/// seeded pairs per host on the `k = 9` and `k = 13` shapes that
-/// `bench_routing` sweeps.
+/// seeded pairs per host on the `k = 9` and `k = 13` shapes.
 #[test]
 fn route_into_is_byte_identical_to_legacy_on_all_ten_k5_classes() {
     let hosts = [

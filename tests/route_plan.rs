@@ -5,7 +5,7 @@
 
 use supercayley::core::{
     apply_path, route_batch, route_plan, scg_route, star_diameter, star_distance_between,
-    CayleyNetwork, Generator, SuperCayleyGraph,
+    CayleyNetwork, CoreError, Generator, SuperCayleyGraph, MIN_PAIRS_PER_THREAD,
 };
 use supercayley::perm::{Perm, XorShift64};
 
@@ -24,8 +24,8 @@ fn all_classes_small() -> Vec<SuperCayleyGraph> {
     ]
 }
 
-/// `route_batch` over several threads returns exactly the routes sequential
-/// `scg_route` produces, in input order.
+/// `route_batch` at any requested thread count returns exactly the routes
+/// sequential `scg_route` produces, in input order.
 #[test]
 fn route_batch_equals_sequential_routing() {
     let mut rng = XorShift64::new(0x9A7E);
@@ -49,18 +49,37 @@ fn route_batch_equals_sequential_routing() {
     }
 }
 
-/// Packed batch routing is a pure function of the pairs: the same seeded
-/// 64-pair set routes to byte-identical paths whatever the thread count —
-/// and hence whatever the chunk size (64 threads → 1 pair per chunk, 10 →
-/// 7, 1 → all 64), since `route_batch` derives its chunking from the
-/// thread count. Sequential `route_into` on a held plan is the reference.
+/// Packed batch routing is a pure function of the pairs: seeded pair sets
+/// route to byte-identical paths whatever the thread count, with
+/// sequential `route_into` on a held plan as the reference. `route_batch`
+/// gives each thread at least `MIN_PAIRS_PER_THREAD` pairs, so the 64-pair
+/// sets on the `k = 5` classes run on the caller's thread at every thread
+/// count. The `2 * MIN_PAIRS_PER_THREAD + 1`-pair sets on MS(2,2) and
+/// MS(4,2) fan out to two threads (chunks of 2 049 and 2 048 pairs) at 2
+/// and 3 threads; there a degree-mismatched pair in the last chunk must
+/// come back as the batch's error.
 #[test]
 fn route_batch_output_is_independent_of_chunking_and_threads() {
     let mut rng = XorShift64::new(0xC4053);
-    for net in all_classes_small() {
+    let fan_out = 2 * MIN_PAIRS_PER_THREAD + 1;
+    let mut inputs: Vec<(SuperCayleyGraph, usize, &[usize])> = all_classes_small()
+        .into_iter()
+        .map(|net| (net, 64, &[64, 10, 1][..]))
+        .collect();
+    inputs.push((
+        SuperCayleyGraph::macro_star(2, 2).unwrap(),
+        fan_out,
+        &[1, 2, 3],
+    ));
+    inputs.push((
+        SuperCayleyGraph::macro_star(4, 2).unwrap(),
+        fan_out,
+        &[1, 2, 3],
+    ));
+    for (net, n, thread_counts) in inputs {
         let plan = route_plan(&net).unwrap();
         let k = net.degree_k();
-        let pairs: Vec<(Perm, Perm)> = (0..64)
+        let mut pairs: Vec<(Perm, Perm)> = (0..n)
             .map(|_| (Perm::random(k, &mut rng), Perm::random(k, &mut rng)))
             .collect();
         let mut buf = plan.new_buf();
@@ -71,11 +90,23 @@ fn route_batch_output_is_independent_of_chunking_and_threads() {
                 buf.hops().to_vec()
             })
             .collect();
-        for threads in [64, 10, 1] {
+        for &threads in thread_counts {
             assert_eq!(
                 route_batch(&net, &pairs, threads).unwrap(),
                 reference,
-                "{} threads={threads}",
+                "{} n={n} threads={threads}",
+                net.name()
+            );
+        }
+        if n == fan_out {
+            pairs[n - 1].1 = Perm::identity(k + 1);
+            assert_eq!(
+                route_batch(&net, &pairs, 2),
+                Err(CoreError::DegreeMismatch {
+                    expected: k,
+                    found: k + 1
+                }),
+                "{}",
                 net.name()
             );
         }
