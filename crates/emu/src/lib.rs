@@ -9,7 +9,9 @@
 //!   link-utilization statistics and an ASCII rendering of the Figure 1
 //!   grid;
 //! * [`SyncSim`] — a synchronous store-and-forward link-level simulator
-//!   (all-port / single-port) with a shortest-path [`TableRouter`], used by
+//!   (all-port / single-port) with a shortest-path [`TableRouter`] (one
+//!   `N`-entry table translated by left multiplication when fault-free,
+//!   the `N × N` survivor table under faults), used by
 //!   the `scg-comm` crate to measure multinode-broadcast and total-exchange
 //!   completion times. Supports mid-run fail-stop fault injection *and
 //!   repair* with bounded retries, exponential backoff, per-packet TTLs,

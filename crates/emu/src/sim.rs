@@ -23,10 +23,17 @@
 //! it was built against ([`TableRouter::is_stale`]) and can be rebuilt in
 //! place, reusing its allocations, with
 //! [`TableRouter::refresh_with_faults`].
+//!
+//! Fault-free, on a Cayley graph of `S_k` with rank node ids, the
+//! [`TableRouter`] keeps one `N`-entry table toward the identity and
+//! translates every lookup by left multiplication (one packed compose and
+//! rank), so its memory is linear in `N`; with faults, symmetry breaks and
+//! it builds the `N × N` survivor table.
 
 use std::collections::VecDeque;
 
 use scg_graph::{ChaosEvent, DenseGraph, FaultSchedule, FaultSet, NodeId, UNREACHABLE};
+use scg_perm::{factorial, PackedPerm, MAX_PACKED_DEGREE};
 
 use crate::error::EmuError;
 
@@ -107,6 +114,14 @@ enum TableSlot {
     Unreachable,
 }
 
+/// The tie-break shared by both tables: among the `candidates` shortest
+/// out-slots of `u` toward `dst`, in slot order, the one to take.
+fn tie_break(u: usize, dst: usize, candidates: usize) -> usize {
+    (u.wrapping_mul(0x9E37_79B9)
+        .wrapping_add(dst.wrapping_mul(0x85EB_CA6B)))
+        % candidates
+}
+
 /// Reusable build buffers for [`TableRouter::refresh_with_faults`]: the
 /// surviving reverse CSR, per-destination BFS state, and the tie-break
 /// candidate list. Kept inside the router so repeated refreshes during a
@@ -121,119 +136,20 @@ struct RefreshScratch {
     candidates: Vec<usize>,
 }
 
-/// Shortest-path table router: for every destination, a BFS-built next-hop
-/// slot per node. Ties are broken by a deterministic hash of
-/// `(node, destination)` so traffic spreads over equally short links.
-///
-/// The table operates purely on materialized node ids — the
-/// label-level routing upstream of it (`scg_route`, `route_batch`) is
-/// where the bit-packed permutation kernel lives; by the time packets
-/// reach the simulator, labels have already been ranked to ids, so a
-/// refresh is BFS over the survivor graph, not permutation arithmetic.
-///
-/// [`TableRouter::new_with_faults`] builds the table over the survivor
-/// graph, so routes avoid a known fault set entirely; the router remembers
-/// the [`FaultSet::epoch`] it was built at, so consumers can detect
-/// staleness with [`TableRouter::is_stale`] and rebuild in place — reusing
-/// every allocation — with [`TableRouter::refresh_with_faults`].
-#[derive(Debug, Clone)]
-pub struct TableRouter {
-    degree_cap: usize,
-    /// `slots[dst * n + u]` = decision at `u` for destination `dst`.
-    slots: Vec<TableSlot>,
-    n: usize,
-    /// The fault-set epoch the table was last built against.
-    built_epoch: u64,
-    scratch: RefreshScratch,
-}
-
-impl TableRouter {
-    /// Builds the full `N × N` next-hop table (`O(N·E)` time, `N²`
-    /// entries) over the fault-free graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 254
-    /// (slots are stored in a `u8`).
-    pub fn new(graph: &DenseGraph) -> Result<Self, EmuError> {
-        Self::new_with_faults(graph, &FaultSet::new())
-    }
-
-    /// Builds the next-hop table over the survivor graph of `faults`:
-    /// failed nodes and blocked links never appear in a route, and
-    /// destinations cut off by the faults are marked unreachable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 256.
-    pub fn new_with_faults(graph: &DenseGraph, faults: &FaultSet) -> Result<Self, EmuError> {
-        let mut slots = Vec::new();
-        let mut scratch = RefreshScratch::default();
-        let degree_cap = Self::build_into(graph, faults, &mut slots, &mut scratch)?;
-        Ok(TableRouter {
-            degree_cap,
-            slots,
-            n: graph.num_nodes(),
-            built_epoch: faults.epoch(),
-            scratch,
-        })
-    }
-
-    /// Rebuilds the table in place against a new fault set, reusing the
-    /// slot array and all internal build buffers (zero allocations once
-    /// they reached their high-water size). This is the self-healing
-    /// path: call it whenever [`TableRouter::is_stale`] reports the fault
-    /// set moved past the table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 256.
-    pub fn refresh_with_faults(
-        &mut self,
-        graph: &DenseGraph,
-        faults: &FaultSet,
-    ) -> Result<(), EmuError> {
-        self.degree_cap = Self::build_into(graph, faults, &mut self.slots, &mut self.scratch)?;
-        self.n = graph.num_nodes();
-        self.built_epoch = faults.epoch();
-        Ok(())
-    }
-
-    /// The BFS table build shared by construction and refresh: fills
-    /// `slots` (resized to `n²`) and returns the degree cap.
-    fn build_into(
-        graph: &DenseGraph,
-        faults: &FaultSet,
-        slots: &mut Vec<TableSlot>,
-        scratch: &mut RefreshScratch,
-    ) -> Result<usize, EmuError> {
+impl RefreshScratch {
+    /// Fills the surviving reverse adjacency of `graph` under `faults`, for
+    /// BFS *toward* each destination, in CSR form (offsets + one flat id
+    /// array): two buffers total instead of one list per node, and each
+    /// node's predecessors are contiguous for the BFS scans. The two-pass
+    /// count-then-fill keeps predecessors in `edges()` order.
+    fn reverse_csr(&mut self, graph: &DenseGraph, faults: &FaultSet) {
         let n = graph.num_nodes();
-        let degree_cap = (0..n)
-            .map(|u| graph.out_degree(u as NodeId))
-            .max()
-            .unwrap_or(0);
-        // `TableSlot::Toward` stores the out-slot as a `u8`. With the old
-        // `u8::MAX`-sentinel encoding retired by `NextHop`, all 256 slot
-        // values are valid, so only degrees beyond 256 are rejected.
-        if degree_cap > usize::from(u8::MAX) + 1 {
-            return Err(EmuError::SimOutOfRange {
-                reason: "out-degree too large for u8 slot table",
-            });
-        }
-        // Surviving reverse adjacency for BFS *toward* each destination,
-        // in CSR form (offsets + one flat id array): two buffers total
-        // instead of one list per node, and each node's predecessors are
-        // contiguous for the BFS scans below. The two-pass count-then-fill
-        // keeps predecessors in `edges()` order, exactly as the
-        // per-node-Vec build produced them.
-        let RefreshScratch {
+        let Self {
             rev_offsets,
             rev_ids,
             cursor,
-            dist,
-            queue,
-            candidates,
-        } = scratch;
+            ..
+        } = self;
         rev_offsets.clear();
         rev_offsets.resize(n + 1, 0);
         for (u, v) in graph.edges() {
@@ -255,52 +171,332 @@ impl TableRouter {
                 *c += 1;
             }
         }
+    }
+
+    /// BFS toward `dst` over the reverse CSR built by
+    /// [`reverse_csr`](Self::reverse_csr): fills `dist` with every node's
+    /// distance to `dst` ([`UNREACHABLE`] if it has none).
+    fn bfs_toward(&mut self, dst: usize) {
+        let Self {
+            rev_offsets,
+            rev_ids,
+            dist,
+            queue,
+            ..
+        } = self;
         let rev = |v: usize| &rev_ids[rev_offsets[v] as usize..rev_offsets[v + 1] as usize];
-        slots.clear();
-        slots.resize(n * n, TableSlot::Unreachable);
         dist.clear();
-        dist.resize(n, UNREACHABLE);
-        for dst in 0..n {
-            if faults.node_failed(dst as NodeId) {
-                continue; // whole column stays Unreachable
+        dist.resize(rev_offsets.len() - 1, UNREACHABLE);
+        dist[dst] = 0;
+        queue.clear();
+        queue.push_back(dst as NodeId);
+        while let Some(v) = queue.pop_front() {
+            for &u in rev(v as usize) {
+                if dist[u as usize] == UNREACHABLE {
+                    dist[u as usize] = dist[v as usize] + 1;
+                    queue.push_back(u);
+                }
             }
-            dist.iter_mut().for_each(|d| *d = UNREACHABLE);
-            dist[dst] = 0;
-            queue.push_back(dst as NodeId);
-            while let Some(v) = queue.pop_front() {
-                for &u in rev(v as usize) {
-                    if dist[u as usize] == UNREACHABLE {
-                        dist[u as usize] = dist[v as usize] + 1;
-                        queue.push_back(u);
+        }
+    }
+
+    /// One destination's column of the survivor table: a
+    /// [`bfs_toward`](Self::bfs_toward) `dst`, then at every node the
+    /// [`tie_break`] pick among its shortest live out-slots. `column[u]` is
+    /// the decision at `u`; it must arrive filled with
+    /// [`TableSlot::Unreachable`].
+    fn fill_column(
+        &mut self,
+        graph: &DenseGraph,
+        faults: &FaultSet,
+        dst: usize,
+        column: &mut [TableSlot],
+    ) {
+        self.bfs_toward(dst);
+        let Self {
+            dist, candidates, ..
+        } = self;
+        let n = graph.num_nodes();
+        column[dst] = TableSlot::Destination;
+        for u in 0..n {
+            if u == dst || dist[u] == UNREACHABLE {
+                continue;
+            }
+            let outs = graph.out_neighbors(u as NodeId);
+            candidates.clear();
+            candidates.extend(
+                outs.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| {
+                        !faults.blocks(u as NodeId, v)
+                            && dist[v as usize] != UNREACHABLE
+                            && dist[v as usize] + 1 == dist[u]
+                    })
+                    .map(|(slot, _)| slot),
+            );
+            debug_assert!(!candidates.is_empty());
+            column[u] = TableSlot::Toward(candidates[tie_break(u, dst, candidates.len())] as u8);
+        }
+    }
+}
+
+/// The fault-free table of a Cayley graph on `S_k` whose node ids are
+/// lexicographic ranks: one `N`-entry table toward the identity, shared by
+/// every destination.
+///
+/// Left multiplication by `dst⁻¹` is an automorphism, so the shortest
+/// out-links of `u` toward `dst` are those of `x = dst⁻¹ ∘ u` toward the
+/// identity, generator for generator. A lookup is one packed compose and
+/// rank, then the generator mask at `x` mapped through `u`'s own slot
+/// order.
+#[derive(Debug, Clone, Default)]
+struct CayleyTable {
+    k: usize,
+    degree: usize,
+    /// `labels[u]` = the permutation of rank `u`.
+    labels: Vec<PackedPerm>,
+    /// `inv_labels[u]` = `labels[u]⁻¹`.
+    inv_labels: Vec<PackedPerm>,
+    /// `gen_to_slot[u * degree + s]` = the out-slot of `u` that follows
+    /// generator `s` (the out-lists are sorted, so slot `s` is not
+    /// generator `s` in general).
+    gen_to_slot: Vec<u8>,
+    /// `toward_identity[x]` = bit `s` set iff generator `s` starts a
+    /// shortest path from `x` to the identity; 0 for the identity itself
+    /// and for nodes that cannot reach it.
+    toward_identity: Vec<u64>,
+}
+
+impl CayleyTable {
+    /// Rebuilds the table in place if `graph` is the Cayley graph of `S_k`
+    /// under rank labels with generators `g_s = label(out_neighbors(0)[s])`,
+    /// checked link by link: every `rank(label(u) ∘ g_s)` must be an
+    /// out-neighbor of `u`, each generator on its own slot (parallel links
+    /// take successive slots). Returns `None`, leaving the table unusable,
+    /// when any check fails or the degree exceeds 64 (one `u64` mask).
+    /// `faults` must be empty.
+    fn rebuild(
+        &mut self,
+        graph: &DenseGraph,
+        faults: &FaultSet,
+        scratch: &mut RefreshScratch,
+    ) -> Option<()> {
+        let n = graph.num_nodes();
+        let k = (1..=MAX_PACKED_DEGREE).find(|&k| factorial(k) == n as u64)?;
+        let degree = graph.out_degree(0);
+        if degree > 64 {
+            return None;
+        }
+        let mut gens = [PackedPerm::identity(); 64];
+        for (g, &r) in gens.iter_mut().zip(graph.out_neighbors(0)) {
+            *g = PackedPerm::from_rank(k, u64::from(r)).ok()?;
+        }
+        let gens = &gens[..degree];
+        self.k = k;
+        self.degree = degree;
+        self.labels.clear();
+        for r in 0..n as u64 {
+            self.labels.push(PackedPerm::from_rank(k, r).ok()?);
+        }
+        self.inv_labels.clear();
+        self.inv_labels
+            .extend(self.labels.iter().map(|p| p.inverse()));
+        self.gen_to_slot.clear();
+        for (u, label) in self.labels.iter().enumerate() {
+            let outs = graph.out_neighbors(u as NodeId);
+            if outs.len() != degree {
+                return None;
+            }
+            let mut used = 0u64;
+            for g in gens {
+                let v = NodeId::try_from(label.compose(*g).rank(k).ok()?).ok()?;
+                let mut slot = outs.partition_point(|&w| w < v);
+                while slot < degree && outs[slot] == v && used & (1 << slot) != 0 {
+                    slot += 1;
+                }
+                if outs.get(slot) != Some(&v) {
+                    return None;
+                }
+                used |= 1 << slot;
+                self.gen_to_slot.push(u8::try_from(slot).ok()?);
+            }
+        }
+        // One reverse BFS to the identity.
+        scratch.reverse_csr(graph, faults);
+        scratch.bfs_toward(0);
+        let dist = &scratch.dist;
+        self.toward_identity.clear();
+        for x in 0..n {
+            let outs = graph.out_neighbors(x as NodeId);
+            let row = &self.gen_to_slot[x * degree..(x + 1) * degree];
+            let mut mask = 0u64;
+            if dist[x] != UNREACHABLE {
+                for (s, &slot) in row.iter().enumerate() {
+                    let d = dist[outs[usize::from(slot)] as usize];
+                    if d != UNREACHABLE && d + 1 == dist[x] {
+                        mask |= 1 << s;
                     }
                 }
             }
-            slots[dst * n + dst] = TableSlot::Destination;
-            for u in 0..n {
-                if u == dst || dist[u] == UNREACHABLE {
-                    continue;
-                }
-                let outs = graph.out_neighbors(u as NodeId);
-                candidates.clear();
-                candidates.extend(
-                    outs.iter()
-                        .enumerate()
-                        .filter(|&(_, &v)| {
-                            !faults.blocks(u as NodeId, v)
-                                && dist[v as usize] != UNREACHABLE
-                                && dist[v as usize] + 1 == dist[u]
-                        })
-                        .map(|(slot, _)| slot),
-                );
-                debug_assert!(!candidates.is_empty());
-                let pick = (u
-                    .wrapping_mul(0x9E37_79B9)
-                    .wrapping_add(dst.wrapping_mul(0x85EB_CA6B)))
-                    % candidates.len();
-                slots[dst * n + u] = TableSlot::Toward(candidates[pick] as u8);
+            self.toward_identity.push(mask);
+        }
+        Some(())
+    }
+
+    /// The decision at `u` toward `dst`, identical to the full table's.
+    fn next_hop(&self, u: usize, dst: usize) -> NextHop {
+        if u == dst {
+            return NextHop::Deliver;
+        }
+        let x = self.inv_labels[dst].compose(self.labels[u]).rank(self.k);
+        let Some(x) = x.ok().and_then(|x| usize::try_from(x).ok()) else {
+            return NextHop::Unreachable;
+        };
+        let row = &self.gen_to_slot[u * self.degree..(u + 1) * self.degree];
+        let (mut gens, mut slots) = (self.toward_identity[x], 0u64);
+        while gens != 0 {
+            slots |= 1 << row[gens.trailing_zeros() as usize];
+            gens &= gens - 1;
+        }
+        if slots == 0 {
+            return NextHop::Unreachable;
+        }
+        for _ in 0..tie_break(u, dst, slots.count_ones() as usize) {
+            slots &= slots - 1;
+        }
+        NextHop::Forward(slots.trailing_zeros() as usize)
+    }
+}
+
+/// Shortest-path table router. Ties are broken by a deterministic hash of
+/// `(node, destination)` so traffic spreads over equally short links.
+///
+/// Without faults, on a Cayley graph of `S_k` whose node ids are
+/// lexicographic ranks (every materialized super Cayley network), the
+/// router keeps one `N`-entry table toward the identity and answers each
+/// lookup with one packed compose and rank (left multiplication by
+/// `dst⁻¹` is an automorphism). The structure is checked link by link,
+/// not assumed; any other graph, and any non-empty fault set, gets the
+/// full `N × N` survivor table, built by one BFS per destination. Both
+/// tables make the same decision for every `(node, destination)`.
+///
+/// [`TableRouter::new_with_faults`] builds the table over the survivor
+/// graph, so routes avoid a known fault set entirely; the router remembers
+/// the [`FaultSet::epoch`] it was built at, so consumers can detect
+/// staleness with [`TableRouter::is_stale`] and rebuild in place — reusing
+/// every allocation — with [`TableRouter::refresh_with_faults`].
+#[derive(Debug, Clone)]
+pub struct TableRouter {
+    degree_cap: usize,
+    /// Answers lookups when `translated` is set. Kept across faulty
+    /// refreshes, so returning to an empty fault set reuses its buffers.
+    cayley: CayleyTable,
+    /// Whether `cayley` answers lookups instead of `slots`.
+    translated: bool,
+    /// `slots[dst * n + u]` = decision at `u` for destination `dst`; empty
+    /// until a build needs the full table.
+    slots: Vec<TableSlot>,
+    n: usize,
+    /// The fault-set epoch the table was last built against.
+    built_epoch: u64,
+    scratch: RefreshScratch,
+}
+
+impl TableRouter {
+    /// Builds the router over the fault-free graph: the translated
+    /// identity table when the graph is a rank-labelled Cayley graph of
+    /// `S_k` (`O(N·d)` time and memory), else the full `N × N` table
+    /// (`O(N·E)` time, `N²` entries).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 256
+    /// (slots are stored in a `u8`).
+    pub fn new(graph: &DenseGraph) -> Result<Self, EmuError> {
+        Self::new_with_faults(graph, &FaultSet::new())
+    }
+
+    /// Builds the next-hop table over the survivor graph of `faults`:
+    /// failed nodes and blocked links never appear in a route, and
+    /// destinations cut off by the faults are marked unreachable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 256.
+    pub fn new_with_faults(graph: &DenseGraph, faults: &FaultSet) -> Result<Self, EmuError> {
+        let mut router = TableRouter {
+            degree_cap: 0,
+            cayley: CayleyTable::default(),
+            translated: false,
+            slots: Vec::new(),
+            n: 0,
+            built_epoch: 0,
+            scratch: RefreshScratch::default(),
+        };
+        router.refresh_with_faults(graph, faults)?;
+        Ok(router)
+    }
+
+    /// Rebuilds the table in place against a new fault set, reusing the
+    /// slot array, the translated table and all internal build buffers
+    /// (zero allocations once they reached their high-water size). This
+    /// is the self-healing path: call it whenever
+    /// [`TableRouter::is_stale`] reports the fault set moved past the
+    /// table. An empty fault set goes back to the translated table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError::SimOutOfRange`] if some out-degree exceeds 256.
+    pub fn refresh_with_faults(
+        &mut self,
+        graph: &DenseGraph,
+        faults: &FaultSet,
+    ) -> Result<(), EmuError> {
+        let n = graph.num_nodes();
+        let degree_cap = (0..n)
+            .map(|u| graph.out_degree(u as NodeId))
+            .max()
+            .unwrap_or(0);
+        // `TableSlot::Toward` stores the out-slot as a `u8`. With the old
+        // `u8::MAX`-sentinel encoding retired by `NextHop`, all 256 slot
+        // values are valid, so only degrees beyond 256 are rejected.
+        if degree_cap > usize::from(u8::MAX) + 1 {
+            return Err(EmuError::SimOutOfRange {
+                reason: "out-degree too large for u8 slot table",
+            });
+        }
+        self.translated = faults.is_empty()
+            && self
+                .cayley
+                .rebuild(graph, faults, &mut self.scratch)
+                .is_some();
+        if !self.translated {
+            Self::build_full(graph, faults, &mut self.slots, &mut self.scratch);
+        }
+        self.degree_cap = degree_cap;
+        self.n = n;
+        self.built_epoch = faults.epoch();
+        Ok(())
+    }
+
+    /// The full survivor table: fills `slots` (resized to `n²`) with one
+    /// BFS column per live destination.
+    fn build_full(
+        graph: &DenseGraph,
+        faults: &FaultSet,
+        slots: &mut Vec<TableSlot>,
+        scratch: &mut RefreshScratch,
+    ) {
+        let n = graph.num_nodes();
+        scratch.reverse_csr(graph, faults);
+        slots.clear();
+        slots.resize(n * n, TableSlot::Unreachable);
+        for (dst, column) in slots.chunks_exact_mut(n.max(1)).enumerate() {
+            // A failed destination's whole column stays Unreachable.
+            if !faults.node_failed(dst as NodeId) {
+                scratch.fill_column(graph, faults, dst, column);
             }
         }
-        Ok(degree_cap)
     }
 
     /// The largest out-degree seen when building the table.
@@ -325,6 +521,9 @@ impl TableRouter {
 
 impl Router for TableRouter {
     fn next_hop(&self, at: NodeId, packet: &Packet) -> NextHop {
+        if self.translated {
+            return self.cayley.next_hop(at as usize, packet.dst as usize);
+        }
         match self.slots[packet.dst as usize * self.n + at as usize] {
             TableSlot::Toward(s) => NextHop::Forward(s as usize),
             TableSlot::Destination => NextHop::Deliver,
@@ -419,6 +618,9 @@ pub struct SyncSim<'a> {
     /// Flights currently parked in backoff (recomputed every step).
     waiting: u64,
     in_flight: u64,
+    /// Transmissions of the current step, kept between steps so a step
+    /// allocates nothing once it reached its high-water size.
+    arrivals: Vec<(NodeId, Flight)>,
 }
 
 impl<'a> SyncSim<'a> {
@@ -449,6 +651,7 @@ impl<'a> SyncSim<'a> {
             recovered: 0,
             waiting: 0,
             in_flight: 0,
+            arrivals: Vec::new(),
         }
     }
 
@@ -877,7 +1080,8 @@ impl<'a> SyncSim<'a> {
         let delivered_before = self.delivered;
         self.now += 1;
         self.retry_dead_queues(router)?;
-        let mut arrivals: Vec<(NodeId, Flight)> = Vec::new();
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        arrivals.clear();
         for u in 0..self.graph.num_nodes() as NodeId {
             if self.faults.node_failed(u) {
                 continue;
@@ -922,7 +1126,7 @@ impl<'a> SyncSim<'a> {
         }
         let moved = arrivals.len() as u64;
         self.transmissions += moved;
-        for (v, flight) in arrivals {
+        for (v, flight) in arrivals.drain(..) {
             match router.next_hop(v, &flight.packet) {
                 NextHop::Deliver => {
                     self.delivered += 1;
@@ -951,6 +1155,7 @@ impl<'a> SyncSim<'a> {
                 }
             }
         }
+        self.arrivals = arrivals;
         #[cfg(feature = "obs")]
         self.obs_record_step(moved, self.delivered - delivered_before);
         Ok(moved)
@@ -1044,6 +1249,8 @@ impl<'a> SyncSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scg_core::{materialize, CayleyNetwork, SuperCayleyGraph, DEFAULT_NET_CAP};
+    use scg_perm::{Perm, XorShift64};
 
     fn ring(n: usize) -> DenseGraph {
         DenseGraph::from_neighbor_fn(n, |u| {
@@ -1300,5 +1507,258 @@ mod tests {
         assert_eq!(stats.delivered + stats.dropped + stats.undelivered, 0);
         assert!(stats.delivered_ratio().is_finite());
         assert!((stats.delivered_ratio() - 1.0).abs() < f64::EPSILON);
+    }
+
+    /// The ten classes of Table II at `k = nl + 1`.
+    fn ten_classes(l: usize, n: usize) -> Vec<SuperCayleyGraph> {
+        vec![
+            SuperCayleyGraph::macro_star(l, n).unwrap(),
+            SuperCayleyGraph::rotation_star(l, n).unwrap(),
+            SuperCayleyGraph::complete_rotation_star(l, n).unwrap(),
+            SuperCayleyGraph::macro_rotator(l, n).unwrap(),
+            SuperCayleyGraph::rotation_rotator(l, n).unwrap(),
+            SuperCayleyGraph::complete_rotation_rotator(l, n).unwrap(),
+            SuperCayleyGraph::insertion_selection(n * l + 1).unwrap(),
+            SuperCayleyGraph::macro_is(l, n).unwrap(),
+            SuperCayleyGraph::rotation_is(l, n).unwrap(),
+            SuperCayleyGraph::complete_rotation_is(l, n).unwrap(),
+        ]
+    }
+
+    /// The full `N × N` table over the fault-free `graph`, built by the
+    /// code that serves faulty refreshes.
+    fn full_table(graph: &DenseGraph) -> TableRouter {
+        let mut r = TableRouter::new(graph).unwrap();
+        r.translated = false;
+        TableRouter::build_full(graph, &FaultSet::new(), &mut r.slots, &mut r.scratch);
+        r
+    }
+
+    fn assert_same_decisions(a: &TableRouter, b: &TableRouter, n: usize, name: &str) {
+        for dst in 0..n as NodeId {
+            let p = pkt(0, dst);
+            for u in 0..n as NodeId {
+                assert_eq!(a.next_hop(u, &p), b.next_hop(u, &p), "{name}: {u} → {dst}");
+            }
+        }
+    }
+
+    /// Every table walk from every node reaches every destination in its
+    /// BFS distance.
+    fn assert_routes_shortest(g: &DenseGraph, r: &TableRouter) {
+        let n = g.num_nodes() as NodeId;
+        for src in 0..n {
+            let dist = g.bfs_distances(src);
+            for dst in 0..n {
+                let (mut at, mut hops) = (src, 0);
+                while let NextHop::Forward(slot) = r.next_hop(at, &pkt(src, dst)) {
+                    at = g.out_neighbors(at)[slot];
+                    hops += 1;
+                }
+                assert_eq!(r.next_hop(at, &pkt(src, dst)), NextHop::Deliver);
+                assert_eq!((at, hops), (dst, dist[dst as usize]), "{src} → {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn translated_table_matches_full_table_on_ten_k5_classes_and_is6() {
+        let mut nets = ten_classes(2, 2);
+        nets.push(SuperCayleyGraph::insertion_selection(6).unwrap());
+        for net in nets {
+            let mat = materialize(&net, DEFAULT_NET_CAP).unwrap();
+            let g = mat.graph();
+            let r = TableRouter::new(g).unwrap();
+            assert!(r.translated && r.slots.is_empty(), "{}", net.name());
+            assert_same_decisions(&r, &full_table(g), g.num_nodes(), &net.name());
+        }
+    }
+
+    #[test]
+    fn translated_table_matches_per_destination_bfs_on_ms32() {
+        let mat = materialize(
+            &SuperCayleyGraph::macro_star(3, 2).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let n = g.num_nodes();
+        let r = TableRouter::new(g).unwrap();
+        assert!(r.translated);
+        let faults = FaultSet::new();
+        let mut scratch = RefreshScratch::default();
+        scratch.reverse_csr(g, &faults);
+        let mut column = vec![TableSlot::Unreachable; n];
+        let mut rng = XorShift64::new(0x5C67);
+        for _ in 0..64 {
+            let dst = rng.gen_range(n);
+            column.fill(TableSlot::Unreachable);
+            scratch.fill_column(g, &faults, dst, &mut column);
+            for (u, &slot) in column.iter().enumerate() {
+                let want = match slot {
+                    TableSlot::Toward(s) => NextHop::Forward(usize::from(s)),
+                    TableSlot::Destination => NextHop::Deliver,
+                    TableSlot::Unreachable => NextHop::Unreachable,
+                };
+                assert_eq!(
+                    r.next_hop(u as NodeId, &pkt(0, dst as NodeId)),
+                    want,
+                    "{u} → {dst}"
+                );
+            }
+        }
+    }
+
+    /// Every `(u, dst)` pair of all ten classes at `k = 7` (25.4 M pairs
+    /// each, ~1 min in release): run with `--ignored`.
+    #[test]
+    #[ignore = "exhaustive k = 7 sweep; run in release with --ignored"]
+    fn translated_table_matches_full_table_exhaustive_k7() {
+        for net in ten_classes(3, 2) {
+            let mat = materialize(&net, DEFAULT_NET_CAP).unwrap();
+            let g = mat.graph();
+            let r = TableRouter::new(g).unwrap();
+            assert!(r.translated, "{}", net.name());
+            assert_same_decisions(&r, &full_table(g), g.num_nodes(), &net.name());
+        }
+    }
+
+    #[test]
+    fn non_cayley_graphs_fall_back_to_full_table() {
+        // Rings of 3! and 4! nodes have the right size but not the links.
+        for n in [6, 24] {
+            let g = ring(n);
+            let r = TableRouter::new(&g).unwrap();
+            assert!(!r.translated, "ring({n})");
+            assert_routes_shortest(&g, &r);
+        }
+        // MS(2,2) with two node ids swapped is still a Cayley graph, but
+        // not under rank labels.
+        let mat = materialize(
+            &SuperCayleyGraph::macro_star(2, 2).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let swap = |v: NodeId| match v {
+            3 => 77,
+            77 => 3,
+            v => v,
+        };
+        let h = DenseGraph::from_neighbor_fn(g.num_nodes(), |u| {
+            g.out_neighbors(swap(u)).iter().map(|&v| swap(v)).collect()
+        });
+        let r = TableRouter::new(&h).unwrap();
+        assert!(!r.translated);
+        assert_routes_shortest(&h, &r);
+        // MS(2,2) with one link rewired, for every link of a few nodes:
+        // the stray neighbor sorts just below the link it replaces.
+        for u in 0..8 {
+            let outs = g.out_neighbors(u);
+            for i in 0..outs.len() {
+                let stray = outs[i].wrapping_sub(1);
+                if stray >= g.num_nodes() as NodeId || stray == u || outs.contains(&stray) {
+                    continue;
+                }
+                let h = DenseGraph::from_neighbor_fn(g.num_nodes(), |w| {
+                    let mut outs = g.out_neighbors(w).to_vec();
+                    if w == u {
+                        outs[i] = stray;
+                    }
+                    outs
+                });
+                let r = TableRouter::new(&h).unwrap();
+                assert!(!r.translated, "link {i} of node {u} rewired");
+            }
+        }
+    }
+
+    #[test]
+    fn faults_use_survivor_table_and_repair_restores_translation() {
+        let mat = materialize(
+            &SuperCayleyGraph::macro_star(2, 2).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let n = g.num_nodes();
+        let fresh = TableRouter::new(g).unwrap();
+        let mut r = fresh.clone();
+        let cut = g.out_neighbors(0)[0];
+        let mut faults = FaultSet::new();
+        faults.fail_node(7);
+        faults.fail_link_undirected(0, cut);
+        r.refresh_with_faults(g, &faults).unwrap();
+        assert!(!r.translated && r.slots.len() == n * n);
+        assert_same_decisions(
+            &r,
+            &TableRouter::new_with_faults(g, &faults).unwrap(),
+            n,
+            "faulty",
+        );
+        assert_eq!(r.next_hop(0, &pkt(0, 7)), NextHop::Unreachable);
+        // Survivor routes avoid the dead node and the cut cable.
+        for src in (0..n as NodeId).filter(|&u| u != 7) {
+            let dst = (src + 60) % n as NodeId;
+            let mut at = src;
+            while let NextHop::Forward(slot) = r.next_hop(at, &pkt(src, dst)) {
+                let next = g.out_neighbors(at)[slot];
+                assert!(
+                    !faults.blocks(at, next),
+                    "{src} → {dst} crosses {at} → {next}"
+                );
+                at = next;
+            }
+            assert!(at == dst || dst == 7, "{src} → {dst} stopped at {at}");
+        }
+        faults.repair_node(7);
+        faults.repair_link_undirected(0, cut);
+        assert!(faults.is_empty());
+        r.refresh_with_faults(g, &faults).unwrap();
+        assert!(r.translated);
+        assert_same_decisions(&r, &fresh, n, "repaired");
+    }
+
+    /// The fault-free simulator at `k = 8`, where the full table would
+    /// need 3.2 GB: one packet per node to its image under a seeded
+    /// permutation, all delivered over shortest paths
+    /// (`dist(u, v) = dist(e, u⁻¹ ∘ v)`, one BFS from the identity).
+    #[test]
+    fn is8_permutation_round_delivers_on_shortest_paths() {
+        let mat = materialize(
+            &SuperCayleyGraph::insertion_selection(8).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let n = g.num_nodes();
+        assert_eq!(n, 40_320);
+        let r = TableRouter::new(g).unwrap();
+        assert!(r.translated && r.slots.is_empty());
+        let labels: Vec<Perm> = (0..n as u64)
+            .map(|x| Perm::from_rank(8, x).unwrap())
+            .collect();
+        let d0 = g.bfs_distances(0);
+        let mut dst: Vec<NodeId> = (0..n as NodeId).collect();
+        XorShift64::new(0x1508).shuffle(&mut dst);
+        let hops: u64 = dst
+            .iter()
+            .enumerate()
+            .map(|(u, &v)| {
+                let x = labels[u].inverse().compose(&labels[v as usize]).rank();
+                u64::from(d0[x as usize])
+            })
+            .sum();
+        let mut sim = SyncSim::new(g, PortModel::AllPort);
+        for (u, &v) in dst.iter().enumerate() {
+            sim.inject(u as NodeId, pkt(u as NodeId, v), &r).unwrap();
+        }
+        // The round takes 10 steps; a wrong table fails fast instead of
+        // circling until the live-lock check.
+        let stats = sim.run(&r, 100).unwrap();
+        assert_eq!(stats.delivered, n as u64);
+        assert_eq!((stats.dropped, stats.undelivered), (0, 0));
+        assert!(!stats.livelocked);
+        assert_eq!(stats.transmissions, hops);
     }
 }

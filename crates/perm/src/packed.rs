@@ -223,9 +223,11 @@ impl PackedPerm {
     /// The lexicographic Lehmer rank among all `k!` permutations of
     /// degree `k`, matching [`Perm::rank`] (identity ↦ 0).
     ///
-    /// Runs entirely on the packed word: each Lehmer digit is a masked
-    /// nibble-comparison count, folded Horner-style in the factorial
-    /// number system.
+    /// Runs entirely on the packed word in `O(k)`: a bitmask of the
+    /// symbols already seen gives each Lehmer digit as `v_i` minus the
+    /// seen symbols below `v_i` (the smaller symbols not seen yet are
+    /// exactly those to the right of position `i`), folded Horner-style in
+    /// the factorial number system.
     ///
     /// # Errors
     ///
@@ -236,13 +238,14 @@ impl PackedPerm {
             return Err(PermError::PackedDegreeOutOfRange { degree: k });
         }
         let mut r = 0u64;
+        let mut seen = 0u64;
+        let mut t = self.0;
         for i in 0..k {
-            let vi = (self.0 >> (4 * i)) & 0xF;
-            let mut smaller = 0u64;
-            for j in i + 1..k {
-                smaller += u64::from((self.0 >> (4 * j)) & 0xF < vi);
-            }
-            r = r * (k - i) as u64 + smaller;
+            let below = 1u64 << (t & 0xF);
+            let digit = (t & 0xF) - u64::from((seen & (below - 1)).count_ones());
+            seen |= below;
+            r = r * (k - i) as u64 + digit;
+            t >>= 4;
         }
         Ok(r)
     }

@@ -111,6 +111,19 @@ fn unary_ops_match_perm_on_every_element_up_to_s7() {
     }
 }
 
+/// The seen-symbols rank agrees with the reference on every element of
+/// `S_8` (40 320 permutations), and lexicographic enumeration order is
+/// rank order.
+#[test]
+fn rank_matches_perm_on_every_element_of_s8() {
+    for (i, p) in Permutations::lexicographic(8).enumerate() {
+        let packed = PackedPerm::pack(&p).unwrap();
+        assert_eq!(packed.rank(8).unwrap(), p.rank(), "{p} rank");
+        assert_eq!(p.rank(), i as u64, "{p} enumeration order");
+        assert_eq!(PackedPerm::from_rank(8, p.rank()).unwrap(), packed);
+    }
+}
+
 /// Seeded random sweep of the degrees exhaustion cannot reach: at every
 /// `k` in `9..=16`, compose, inverse, generator application, and the
 /// rank/unrank round-trip agree with the reference (`16! ≈ 2·10¹³` still
