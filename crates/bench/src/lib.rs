@@ -1,16 +1,21 @@
-//! Shared plumbing for the experiment binaries that regenerate every
-//! figure and theorem-table of the paper.
+//! The paper's figures and theorem-tables as checked artifacts.
 //!
-//! Each experiment id from DESIGN.md has a binary (`cargo run --release -p
-//! scg-bench --bin <id>`) printing the reproduced artifact. This library
-//! holds the host rosters and the plain-text table writer they share.
-//! Timing lives in one place only: the seeded benchmark package in
-//! `src/bin/benchmark/` (see `BENCHMARK.json` at the repository root).
+//! [`tables`] measures every figure and table, renders the text kept in
+//! `results/<id>.txt`, and checks each claim the table makes; `cargo run
+//! --release -p scg-bench --bin reproduce` rewrites them all. This library
+//! also holds the host rosters and the plain-text table writer shared with
+//! the `tab_chaos`, `tab_embed` and `tab_obs` binaries. Timing lives in one
+//! place only: the seeded benchmark package in `src/bin/benchmark/` (see
+//! `BENCHMARK.json` at the repository root).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use scg_core::{CoreError, SuperCayleyGraph};
+use std::error::Error;
+
+use scg_core::{CayleyNetwork, ScgClass, StarGraph, SuperCayleyGraph};
+
+pub mod tables;
 
 /// A plain-text table writer (fixed-width columns, markdown-ish rules).
 #[derive(Debug, Clone, Default)]
@@ -71,46 +76,53 @@ impl Table {
     }
 }
 
-/// The emulation-capable hosts at `k = 7` used throughout the theorem
-/// tables: `MS(3,2)`, `RS(3,2)`, `Complete-RS(3,2)`, `IS(7)`, `MIS(3,2)`,
-/// `RIS(3,2)`, `Complete-RIS(3,2)` plus the `(2,3)` shapes.
-///
-/// # Errors
-///
-/// Propagates constructor failures (none for these fixed parameters).
-pub fn emulation_hosts_k7() -> Result<Vec<SuperCayleyGraph>, CoreError> {
-    Ok(vec![
-        SuperCayleyGraph::macro_star(3, 2)?,
-        SuperCayleyGraph::macro_star(2, 3)?,
-        SuperCayleyGraph::rotation_star(3, 2)?,
-        SuperCayleyGraph::complete_rotation_star(3, 2)?,
-        SuperCayleyGraph::complete_rotation_star(2, 3)?,
-        SuperCayleyGraph::insertion_selection(7)?,
-        SuperCayleyGraph::macro_is(3, 2)?,
-        SuperCayleyGraph::rotation_is(3, 2)?,
-        SuperCayleyGraph::complete_rotation_is(3, 2)?,
-    ])
-}
-
 /// Every class at its smallest materializable shape (`k = 5`, 120 nodes),
 /// including the directed rotator classes.
 ///
 /// # Errors
 ///
 /// Propagates constructor failures (none for these fixed parameters).
-pub fn all_class_hosts_k5() -> Result<Vec<SuperCayleyGraph>, CoreError> {
-    Ok(vec![
-        SuperCayleyGraph::macro_star(2, 2)?,
-        SuperCayleyGraph::rotation_star(2, 2)?,
-        SuperCayleyGraph::complete_rotation_star(2, 2)?,
-        SuperCayleyGraph::macro_rotator(2, 2)?,
-        SuperCayleyGraph::rotation_rotator(2, 2)?,
-        SuperCayleyGraph::complete_rotation_rotator(2, 2)?,
-        SuperCayleyGraph::insertion_selection(5)?,
-        SuperCayleyGraph::macro_is(2, 2)?,
-        SuperCayleyGraph::rotation_is(2, 2)?,
-        SuperCayleyGraph::complete_rotation_is(2, 2)?,
-    ])
+pub fn all_class_hosts_k5() -> Result<Vec<SuperCayleyGraph>, Box<dyn Error>> {
+    hosts(
+        "MS(2,2) RS(2,2) Complete-RS(2,2) MR(2,2) RR(2,2) Complete-RR(2,2) IS(5) MIS(2,2) \
+         RIS(2,2) Complete-RIS(2,2)",
+    )
+}
+
+/// The super Cayley graphs named as the tables print them: `"MS(3,2) IS(7)"`.
+fn hosts(names: &str) -> Result<Vec<SuperCayleyGraph>, Box<dyn Error>> {
+    names.split_whitespace().map(host).collect()
+}
+
+/// The super Cayley graph named as the tables print it: `"MS(3,2)"`, `"IS(7)"`.
+fn host(name: &str) -> Result<SuperCayleyGraph, Box<dyn Error>> {
+    let bad = || format!("not a network name: {name}");
+    let (abbrev, shape) = name
+        .strip_suffix(')')
+        .and_then(|s| s.split_once('('))
+        .ok_or_else(bad)?;
+    let shape: Vec<usize> = shape.split(',').map(str::parse).collect::<Result<_, _>>()?;
+    let class = ScgClass::ALL
+        .into_iter()
+        .find(|c| c.abbrev() == abbrev)
+        .ok_or_else(bad)?;
+    Ok(match shape[..] {
+        [k] if class == ScgClass::InsertionSelection => SuperCayleyGraph::insertion_selection(k)?,
+        [l, n] => SuperCayleyGraph::new(class, l, n)?,
+        _ => return Err(bad().into()),
+    })
+}
+
+/// Stars and super Cayley graphs named as the tables print them:
+/// `"5-star MS(2,2)"`.
+fn nets(names: &str) -> Result<Vec<Box<dyn CayleyNetwork>>, Box<dyn Error>> {
+    let net = |name: &str| -> Result<Box<dyn CayleyNetwork>, Box<dyn Error>> {
+        Ok(match name.strip_suffix("-star") {
+            Some(k) => Box::new(StarGraph::new(k.parse()?)?),
+            None => Box::new(host(name)?),
+        })
+    };
+    names.split_whitespace().map(net).collect()
 }
 
 /// Formats a float with 3 decimals.
@@ -136,7 +148,12 @@ mod tests {
 
     #[test]
     fn rosters_construct() {
-        assert_eq!(emulation_hosts_k7().unwrap().len(), 9);
-        assert_eq!(all_class_hosts_k5().unwrap().len(), 10);
+        let k5 = all_class_hosts_k5().unwrap();
+        let classes: Vec<ScgClass> = k5.iter().map(SuperCayleyGraph::class).collect();
+        assert_eq!(classes, ScgClass::ALL);
+        for net in &k5 {
+            assert_eq!(host(&net.name()).unwrap().name(), net.name());
+        }
+        assert!(host("XS(2,2)").is_err() && host("MS(2)").is_err());
     }
 }

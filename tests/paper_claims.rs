@@ -1,82 +1,13 @@
 //! End-to-end checks of the paper's headline claims, exercised through the
-//! public facade API (each claim crosses at least two crates).
+//! public facade API (each claim crosses at least two crates). The claims
+//! printed in the paper's tables are checked with the tables themselves,
+//! by `crates/bench/tests/reproduce.rs`.
 
 use supercayley::comm::{mnb_sdc, te_sdc};
-use supercayley::core::{star_diameter, CayleyNetwork, NetworkReport, StarGraph, SuperCayleyGraph};
-use supercayley::embed::CayleyEmbedding;
-use supercayley::emu::{AllPortSchedule, SdcReport};
+use supercayley::core::{CayleyNetwork, NetworkReport, StarGraph, SuperCayleyGraph};
 use supercayley::graph::SearchBudget;
 
 const CAP: u64 = 50_000;
-
-/// Theorem 1: slowdown 3 on MS and Complete-RS, embodied both as SDC
-/// slowdown and star-embedding dilation.
-#[test]
-fn theorem_1_slowdown_3() {
-    for host in [
-        SuperCayleyGraph::macro_star(3, 2).unwrap(),
-        SuperCayleyGraph::complete_rotation_star(3, 2).unwrap(),
-    ] {
-        assert_eq!(SdcReport::measure(&host).unwrap().worst_slowdown, 3);
-        let star = StarGraph::new(7).unwrap();
-        let ce = CayleyEmbedding::build(&star, &host, CAP).unwrap();
-        assert_eq!(ce.embedding().dilation(), 3);
-        assert_eq!(ce.embedding().load(), 1);
-        // Congestion max(2n, l) = 4, per-dimension <= 2.
-        assert_eq!(ce.embedding().congestion(), 4);
-        assert!(ce.max_dimension_congestion() <= 2);
-    }
-}
-
-/// Theorems 2 and 3: slowdowns 2 (IS) and 4 (MIS / Complete-RIS).
-#[test]
-fn theorems_2_3_slowdowns() {
-    let is7 = SuperCayleyGraph::insertion_selection(7).unwrap();
-    assert_eq!(SdcReport::measure(&is7).unwrap().worst_slowdown, 2);
-    for host in [
-        SuperCayleyGraph::macro_is(3, 2).unwrap(),
-        SuperCayleyGraph::complete_rotation_is(3, 2).unwrap(),
-    ] {
-        assert_eq!(SdcReport::measure(&host).unwrap().worst_slowdown, 4);
-    }
-}
-
-/// Theorem 4 + Figure 1: all-port slowdown max(2n, l+1); the Figure 1b
-/// instance is 93%-utilized and fully busy through step 5.
-#[test]
-fn theorem_4_and_figure_1() {
-    let fig1b = AllPortSchedule::build(&SuperCayleyGraph::macro_star(5, 3).unwrap()).unwrap();
-    assert_eq!(fig1b.makespan(), 6);
-    assert_eq!(fig1b.fully_used_through(), 5);
-    assert!((fig1b.utilization() - 39.0 / 42.0).abs() < 1e-12);
-    let fig1a = AllPortSchedule::build(&SuperCayleyGraph::macro_star(4, 3).unwrap()).unwrap();
-    assert_eq!(fig1a.makespan(), 6); // max(2·3, 4+1)
-}
-
-/// Theorem 6: TN dilation 5 (l = 2) and 7 (l >= 3) — measured on the
-/// validated embedding, not just the expansion table.
-#[test]
-fn theorem_6_tn_dilations() {
-    let tn = supercayley::core::TranspositionNetwork::new(7).unwrap();
-    let l2 = SuperCayleyGraph::macro_star(2, 3).unwrap();
-    let ce2 = CayleyEmbedding::build(&tn, &l2, CAP).unwrap();
-    assert_eq!(ce2.embedding().dilation(), 5);
-    let l3 = SuperCayleyGraph::macro_star(3, 2).unwrap();
-    let ce3 = CayleyEmbedding::build(&tn, &l3, CAP).unwrap();
-    assert_eq!(ce3.embedding().dilation(), 7);
-}
-
-/// The star diameter formula ⌊3(k−1)/2⌋ and vertex transitivity, through
-/// the materialized-graph pipeline.
-#[test]
-fn star_reference_properties() {
-    for k in 4..=6 {
-        let r = NetworkReport::measure(&StarGraph::new(k).unwrap(), CAP).unwrap();
-        assert_eq!(r.diameter, star_diameter(k));
-        assert!(r.transitive_check);
-        assert!(r.diameter >= r.moore_bound);
-    }
-}
 
 /// Corollary 2 (SDC flavor): the strictly optimal MNB takes exactly
 /// N − 1 = k! − 1 steps.
