@@ -21,7 +21,9 @@ fn main() {
 #[cfg(feature = "obs")]
 fn main() {
     use scg_bench::{all_class_hosts_k5, f3, Table};
-    use scg_core::{materialize, route_plan, scg_route_faulty_with, CayleyNetwork, SMALL_NET_CAP};
+    use scg_core::{
+        materialize, route_faulty, route_plan, CayleyNetwork, FaultScratch, SMALL_NET_CAP,
+    };
     use scg_emu::{Packet, PortModel, SyncSim, TableRouter};
     use scg_graph::{FaultSet, NodeId, SurvivorView};
     use scg_obs::{EventTrace, Registry, Snapshot};
@@ -88,12 +90,12 @@ fn main() {
         // histograms through the scg-core hooks.
         let empty = FaultSet::new();
         let plan = route_plan(&net).expect("plan compiles");
+        let mut scratch = FaultScratch::new();
         for &(s, d) in &pairs {
             let from = mat.node_label(s).expect("rank in range");
             let to = mat.node_label(d).expect("rank in range");
-            scg_route_faulty_with(&plan, &net, &mat, &from, &to, &empty).expect("fault-free route");
-            scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults)
-                .expect("survivors connected");
+            route_faulty(&plan, &empty, &from, &to, &mut scratch).expect("fault-free route");
+            route_faulty(&plan, &faults, &from, &to, &mut scratch).expect("survivors connected");
         }
 
         // End-to-end sim over the survivor tables.

@@ -21,9 +21,9 @@ use scg_comm::{
     CommError, MnbReport, TeReport,
 };
 use scg_core::{
-    materialize, route_plan, scg_route_faulty_with, star_diameter, BubbleSortGraph, CayleyNetwork,
-    CoreError, NetworkReport, ScgClass, StarGraph, SuperCayleyGraph, TranspositionNetwork,
-    SMALL_NET_CAP,
+    materialize, route_faulty, route_plan, star_diameter, BubbleSortGraph, CayleyNetwork,
+    CoreError, FaultScratch, NetworkReport, ScgClass, StarGraph, SuperCayleyGraph,
+    TranspositionNetwork, SMALL_NET_CAP,
 };
 use scg_embed::{
     cube_dimension_for, factorial_mesh_into_scg, factorial_mesh_into_tn, hypercube_into_scg,
@@ -1175,7 +1175,7 @@ const FAULT_PAIRS: usize = 40;
 /// `k = 5` and every fault count `0 .. degree`: survivor connectivity, the
 /// simulator's delivered ratio with stale routing tables (built fault-free,
 /// deflection retries only) and with refreshed survivor tables, and
-/// `scg_route_faulty_with`'s stretch over the survivor-graph shortest path.
+/// `route_faulty`'s stretch over the survivor-graph shortest path.
 /// Connectivity equals the degree, so every row stays connected; refreshed
 /// tables deliver 100%; stale tables drop but never hang.
 fn tab_faults() -> Result<Artifact, Box<dyn Error>> {
@@ -1251,14 +1251,14 @@ fn tab_faults() -> Result<Artifact, Box<dyn Error>> {
             let (fresh_ratio, _) = run(&fresh)?;
             a.claim_eq(&of, "refreshed delivered ratio", fresh_ratio, 1.0);
 
-            // scg_route_faulty_with curves over the same pairs.
+            // route_faulty curves over the same pairs.
+            let mut scratch = FaultScratch::new();
             let (mut stretch_sum, mut stretch_n) = (0.0f64, 0u32);
             let (mut detours, mut fallbacks) = (0u32, 0u32);
             for &(s, d) in &pairs {
                 let from = mat.node_label(s)?;
                 let to = mat.node_label(d)?;
-                let Ok(routed) = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults)
-                else {
+                let Ok(routed) = route_faulty(&plan, &faults, &from, &to, &mut scratch) else {
                     continue; // disconnected pair (only possible if !connected)
                 };
                 let dist = view.bfs_distances(s)[d as usize];

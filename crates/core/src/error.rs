@@ -25,11 +25,14 @@ pub enum CoreError {
         /// Degree encountered.
         found: usize,
     },
-    /// The network is too large to materialize as an explicit graph.
+    /// The network is too large to materialize as an explicit graph, or
+    /// for fault routing, whose `u32` node ids cap it at `12!` nodes and
+    /// whose fallback search stops after a million reached nodes.
     TooLarge {
         /// Number of nodes of the network.
         num_nodes: u64,
-        /// The caller-supplied cap.
+        /// The cap: caller-supplied for materialization; `12!` or the
+        /// fallback search's node cap for fault routing.
         cap: u64,
     },
     /// No routing strategy applies (and BFS was not requested).
@@ -53,10 +56,7 @@ impl fmt::Display for CoreError {
                 )
             }
             CoreError::TooLarge { num_nodes, cap } => {
-                write!(
-                    f,
-                    "network with {num_nodes} nodes exceeds materialization cap {cap}"
-                )
+                write!(f, "network with {num_nodes} nodes exceeds the cap of {cap}")
             }
             CoreError::NoRoute => write!(f, "no routing strategy available"),
         }

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use scg_perm::cast::sym_u8;
-use scg_perm::{Perm, PermError};
+use scg_perm::{PackedPerm, Perm, PermError};
 
 /// One generator of a (super) Cayley graph, acting on node labels.
 ///
@@ -158,6 +158,51 @@ impl Generator {
         }
     }
 
+    /// Applies the generator to a packed label of degree `k`: the word
+    /// twin of [`Generator::apply`], a few nibble operations and no
+    /// `Result`. `T_i` and `T_{i,j}` swap two lanes, `I_i` and `I_i⁻¹`
+    /// rotate the `i`-lane prefix, `S_{n,i}` swaps two `n`-lane blocks and
+    /// `R^i` rotates lanes `1..k`.
+    ///
+    /// Nothing is checked: the generator must be a link of a degree-`k`
+    /// network (every generator in a network's list is). Any other
+    /// generator yields a permutation of some other degree.
+    #[must_use]
+    #[inline]
+    pub fn apply_packed(self, u: PackedPerm, k: usize) -> PackedPerm {
+        let w = u.word();
+        let out = match self {
+            Generator::Transposition { i } => swap_lanes(w, 0, usize::from(i) - 1, 1),
+            Generator::Exchange { i, j } => {
+                swap_lanes(w, usize::from(i) - 1, usize::from(j) - 1, 1)
+            }
+            Generator::Insertion { i } => {
+                let (m, top) = (lane_mask(usize::from(i)), 4 * (usize::from(i) - 1));
+                let p = w & m;
+                (w & !m) | (p >> 4) | ((p & 0xF) << top)
+            }
+            Generator::Selection { i } => {
+                let (m, top) = (lane_mask(usize::from(i)), 4 * (usize::from(i) - 1));
+                let p = w & m;
+                (w & !m) | ((p << 4) & m) | (p >> top)
+            }
+            Generator::Swap { n, i } => {
+                let n = usize::from(n);
+                swap_lanes(w, 1, (usize::from(i) - 1) * n + 1, n)
+            }
+            Generator::Rotation { n, i } => {
+                // Lanes 1..k hold u_2 … u_k; rotate them toward the tail.
+                let len = k - 1;
+                let s = usize::from(n) * usize::from(i) % len;
+                let m = lane_mask(len);
+                let seg = (w >> 4) & m;
+                let rot = ((seg << (4 * s)) | (seg >> (4 * (len - s)))) & m;
+                (w & !(m << 4)) | (rot << 4)
+            }
+        };
+        PackedPerm::from_word(out)
+    }
+
     /// The inverse generator, given the permutation degree `k` (needed to
     /// reduce rotation exponents modulo `l`).
     ///
@@ -251,6 +296,20 @@ impl Generator {
             .map(|tok| Self::parse_with_box_size(tok, n))
             .collect()
     }
+}
+
+/// The low `lanes` nibbles of a word (`1 ≤ lanes ≤ 16`).
+#[inline]
+fn lane_mask(lanes: usize) -> u64 {
+    u64::MAX >> (64 - 4 * lanes)
+}
+
+/// Swaps the `width`-lane blocks starting at lanes `a < b` (which must not
+/// overlap) by one xor exchange.
+#[inline]
+fn swap_lanes(w: u64, a: usize, b: usize, width: usize) -> u64 {
+    let x = ((w >> (4 * a)) ^ (w >> (4 * b))) & lane_mask(width);
+    w ^ (x << (4 * a)) ^ (x << (4 * b))
 }
 
 impl fmt::Display for Generator {

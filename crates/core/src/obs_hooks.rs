@@ -87,7 +87,7 @@ pub(crate) fn route_planned(network: &str, hops: usize) {
         .observe(hops as u64);
 }
 
-/// One completed [`scg_route_faulty_with`](crate::scg_route_faulty_with) call:
+/// One completed [`route_faulty`](crate::route_faulty) call:
 /// records hops, detour encounters, and fallback use per network class.
 pub(crate) fn route_faulty_done(network: &str, hops: usize, detours: usize, fallback: bool) {
     let labels = [("network", network)];

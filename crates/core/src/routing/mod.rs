@@ -4,7 +4,7 @@
 //! One router serves every super Cayley class: the network's compiled
 //! [`RoutePlan`] (one expansion arena, one packed star-sort kernel), with
 //! [`scg_route`] and [`route_batch`] as thin wrappers over it and
-//! [`scg_route_faulty_with`] as the single fault-aware entry.
+//! [`route_faulty`] as the single fault-aware entry.
 
 mod expand;
 mod fault;
@@ -13,7 +13,7 @@ mod sort;
 mod star_route;
 
 pub use expand::star_dimension_parts;
-pub use fault::{scg_route_faulty_with, RoutedPath};
+pub use fault::{route_faulty, scg_route_faulty_with, FaultScratch, RoutedPath, MAX_FAULT_DEGREE};
 pub use plan::{BatchState, RouteBuf, RoutePlan};
 pub use sort::{
     bubble_distance, bubble_sort_sequence, rotator_sort_sequence, tn_distance, tn_sort_sequence,

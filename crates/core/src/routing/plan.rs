@@ -63,6 +63,9 @@ pub struct RoutePlan {
     name: String,
     k: usize,
     dilation: usize,
+    /// The network's generators in slot order (the out-slots of its
+    /// materialized graph).
+    gens: Vec<Generator>,
     /// All expansions back to back: star links first (`T_2..T_k` in
     /// order), then TN links in pair-index order.
     arena: Vec<Generator>,
@@ -110,6 +113,7 @@ impl RoutePlan {
             name: net.name(),
             k,
             dilation: emu.star_dilation(),
+            gens: net.generators().to_vec(),
             arena,
             star_offsets,
             tn_offsets,
@@ -126,6 +130,13 @@ impl RoutePlan {
     #[must_use]
     pub fn degree_k(&self) -> usize {
         self.k
+    }
+
+    /// The network's generators in slot order, as
+    /// [`CayleyNetwork::generators`] lists them.
+    #[must_use]
+    pub fn generators(&self) -> &[Generator] {
+        &self.gens
     }
 
     /// Worst-case star-link expansion length: the Theorem 1–3 dilation.
@@ -222,7 +233,7 @@ impl RoutePlan {
 
     /// Both labels must have the network's degree.
     #[inline]
-    fn check_degrees(&self, from: &Perm, to: &Perm) -> Result<(), CoreError> {
+    pub(crate) fn check_degrees(&self, from: &Perm, to: &Perm) -> Result<(), CoreError> {
         for p in [from, to] {
             if p.degree() != self.k {
                 return Err(CoreError::DegreeMismatch {
@@ -296,7 +307,7 @@ impl RoutePlan {
     /// homes it at lane `i = s`, so exactly that bit clears — sorted
     /// lanes never go dirty again, so the lowest dirty lane is always
     /// the first unsorted position.
-    fn route_packed(&self, mut w: u64, buf: &mut RouteBuf) {
+    pub(crate) fn route_packed(&self, mut w: u64, buf: &mut RouteBuf) {
         /// The low bit of every 4-bit lane.
         const LANE_LSB: u64 = 0x1111_1111_1111_1111;
         let diff = w ^ PACKED_IDENTITY;

@@ -30,11 +30,11 @@
 use std::sync::Arc;
 
 use scg_core::{
-    route_plan, scg_route_faulty_with, CayleyNetwork, CoreError, Materialized, RoutePlan,
-    SuperCayleyGraph,
+    route_faulty, route_plan, CoreError, FaultScratch, Materialized, RoutePlan, SuperCayleyGraph,
 };
 use scg_graph::{DenseGraph, FaultSet, NodeId, SurvivorView};
-use scg_perm::cast::len_u32;
+use scg_perm::cast::{len_u32, rank_u32};
+use scg_perm::{PackedPerm, Perm};
 
 use crate::error::EmbedError;
 
@@ -675,39 +675,34 @@ pub struct ReembedReport {
     pub rerouted: usize,
 }
 
-/// Routes `src → dst` (materialized node ids) around `faults` with
-/// [`scg_route_faulty_with`] and replays the generator hops through the
-/// transition tables, returning the node-id walk inclusive of both
-/// endpoints. A self-route yields the single-node path `[src]`.
+/// Routes `src → dst` (node ids, i.e. label ranks) around `faults` with
+/// [`route_faulty`] and replays the generator hops on the packed labels,
+/// returning the node-id walk inclusive of both endpoints. A self-route
+/// yields the single-node path `[src]`.
 fn route_faulty_ids(
     plan: &RoutePlan,
-    net: &SuperCayleyGraph,
-    mat: &Materialized,
+    faults: &FaultSet,
     src: NodeId,
     dst: NodeId,
-    faults: &FaultSet,
+    scratch: &mut FaultScratch,
 ) -> Result<Vec<NodeId>, CoreError> {
-    let from = mat.node_label(src)?;
-    let to = mat.node_label(dst)?;
-    let routed = scg_route_faulty_with(plan, net, mat, &from, &to, faults)?;
+    let k = plan.degree_k();
+    let from = Perm::from_rank(k, u64::from(src))?;
+    let to = Perm::from_rank(k, u64::from(dst))?;
+    let routed = route_faulty(plan, faults, &from, &to, scratch)?;
     let mut path = Vec::with_capacity(routed.len() + 1);
     path.push(src);
-    let mut cur = src;
+    let mut cur = PackedPerm::pack(&from)?;
     for g in routed.hops {
-        let gi = net
-            .generators()
-            .iter()
-            .position(|&h| h == g)
-            .ok_or(CoreError::NoRoute)?;
-        cur = mat.neighbor_id(cur, gi);
-        path.push(cur);
+        cur = g.apply_packed(cur, k);
+        path.push(rank_u32(cur.rank(k)?));
     }
     Ok(path)
 }
 
 /// Fault-aware re-embedding over a super Cayley host using the compiled
 /// plan cache: crossing hyperpaths are re-routed by
-/// [`scg_route_faulty_with`] (emulation route → masked-generator detour →
+/// [`route_faulty`] (emulation route → masked-generator detour →
 /// survivor BFS), so re-embedding shares the detour machinery and metric
 /// hooks of fault-tolerant routing.
 ///
@@ -729,8 +724,9 @@ pub fn reembed_scg(
     }
     let plan = route_plan(net)?;
     let view = SurvivorView::new(mat.graph(), faults);
+    let mut scratch = FaultScratch::new();
     ir.reembed_with(&view, |src, dst| {
-        route_faulty_ids(&plan, net, mat, src, dst, faults).ok()
+        route_faulty_ids(&plan, faults, src, dst, &mut scratch).ok()
     })
 }
 
@@ -758,8 +754,9 @@ pub fn reembed_scg_rebalanced(
     }
     let plan = route_plan(net)?;
     let view = SurvivorView::new(mat.graph(), faults);
+    let mut scratch = FaultScratch::new();
     ir.reembed_rebalanced(&view, |src, dst| {
-        route_faulty_ids(&plan, net, mat, src, dst, faults).ok()
+        route_faulty_ids(&plan, faults, src, dst, &mut scratch).ok()
     })
 }
 
@@ -924,6 +921,7 @@ mod tests {
         let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(41);
         let faults = FaultSet::random_nodes(mat.num_nodes(), 2, &[], &mut rng);
+        let mut scratch = FaultScratch::new();
         for _ in 0..10 {
             let from = Perm::random(5, &mut rng);
             let to = Perm::random(5, &mut rng);
@@ -931,7 +929,7 @@ mod tests {
             if faults.node_failed(src) || faults.node_failed(dst) {
                 continue;
             }
-            let path = route_faulty_ids(&plan, &net, &mat, src, dst, &faults).unwrap();
+            let path = route_faulty_ids(&plan, &faults, src, dst, &mut scratch).unwrap();
             assert_eq!(path[0], src);
             assert_eq!(*path.last().unwrap(), dst);
             // Every hop is a live materialized link.
@@ -952,7 +950,7 @@ mod tests {
         let plan = route_plan(&net).unwrap();
         let uid = mat.node_id(&Perm::identity(5)).unwrap();
         assert_eq!(
-            route_faulty_ids(&plan, &net, &mat, uid, uid, &FaultSet::new()).unwrap(),
+            route_faulty_ids(&plan, &FaultSet::new(), uid, uid, &mut FaultScratch::new()).unwrap(),
             vec![uid]
         );
     }

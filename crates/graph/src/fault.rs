@@ -46,6 +46,7 @@
 //! ```
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use scg_perm::cast::len_u32;
 use scg_perm::XorShift64;
@@ -61,20 +62,34 @@ use crate::{DenseGraph, Dist, NodeId, UNREACHABLE};
 /// Every mutation that changes the set bumps [`FaultSet::epoch`], a
 /// monotone counter that lets derived state (next-hop tables, plan-cache
 /// entries) detect that it was built against an older version of *this*
-/// fault set. Equality compares the faults only, never the epoch.
+/// fault set, and draws a fresh process-wide [`FaultSet::stamp`], which
+/// identifies the contents across *all* sets. Equality compares the
+/// faults only, never the epoch or the stamp.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSet {
     nodes: HashSet<NodeId>,
     links: HashSet<(NodeId, NodeId)>,
     epoch: u64,
+    stamp: u64,
 }
 
 impl PartialEq for FaultSet {
     fn eq(&self, other: &Self) -> bool {
-        // The epoch is a staleness cursor, not part of the value: two sets
-        // holding the same faults are equal however they got there.
+        // Epoch and stamp are staleness cursors, not part of the value: two
+        // sets holding the same faults are equal however they got there.
         self.nodes == other.nodes && self.links == other.links
     }
+}
+
+/// The last stamp handed out; stamp 0 is left to new sets nothing has
+/// changed, all of which are empty.
+static LAST_STAMP: AtomicU64 = AtomicU64::new(0);
+
+/// A stamp no set has carried before.
+fn fresh_stamp() -> u64 {
+    // ord: Relaxed — the counter only has to hand out distinct values; it
+    // publishes no other data.
+    LAST_STAMP.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 impl Eq for FaultSet {}
@@ -95,45 +110,62 @@ impl FaultSet {
         self.epoch
     }
 
+    /// The content stamp: 0 for a new set nothing has changed, otherwise
+    /// a value drawn from one process-wide counter by the last call that
+    /// changed (or sampled) the set. A clone keeps its stamp (its contents are equal at
+    /// that moment), so equal stamps imply equal contents, across every
+    /// `FaultSet` in the process. Derived state keyed by the stamp — such
+    /// as a fault router's prefilter — can never be stale.
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Records that a mutation did (or did not) change the set: bumps the
+    /// epoch and draws a fresh stamp. Returns `changed`.
+    fn touched(&mut self, changed: bool) -> bool {
+        if changed {
+            self.epoch += 1;
+            self.stamp = fresh_stamp();
+        }
+        changed
+    }
+
     /// Marks node `u` failed. Returns whether it was previously alive.
     pub fn fail_node(&mut self, u: NodeId) -> bool {
         let changed = self.nodes.insert(u);
-        self.epoch += u64::from(changed);
-        changed
+        self.touched(changed)
     }
 
     /// Repairs node `u`. Returns whether it was failed.
     pub fn repair_node(&mut self, u: NodeId) -> bool {
         let changed = self.nodes.remove(&u);
-        self.epoch += u64::from(changed);
-        changed
+        self.touched(changed)
     }
 
     /// Marks the directed link `u → v` failed. Returns whether it was
     /// previously alive.
     pub fn fail_link(&mut self, u: NodeId, v: NodeId) -> bool {
         let changed = self.links.insert((u, v));
-        self.epoch += u64::from(changed);
-        changed
+        self.touched(changed)
     }
 
     /// Repairs the directed link `u → v`. Returns whether it was failed.
     pub fn repair_link(&mut self, u: NodeId, v: NodeId) -> bool {
         let changed = self.links.remove(&(u, v));
-        self.epoch += u64::from(changed);
-        changed
+        self.touched(changed)
     }
 
     /// Marks both `u → v` and `v → u` failed (an undirected cable cut).
     pub fn fail_link_undirected(&mut self, u: NodeId, v: NodeId) {
         let changed = self.links.insert((u, v)) | self.links.insert((v, u));
-        self.epoch += u64::from(changed);
+        self.touched(changed);
     }
 
     /// Repairs both `u → v` and `v → u` (undoes an undirected cable cut).
     pub fn repair_link_undirected(&mut self, u: NodeId, v: NodeId) {
         let changed = self.links.remove(&(u, v)) | self.links.remove(&(v, u));
-        self.epoch += u64::from(changed);
+        self.touched(changed);
     }
 
     /// Unions `other`'s faults into this set. Returns whether anything new
@@ -143,8 +175,7 @@ impl FaultSet {
         self.nodes.extend(other.nodes.iter().copied());
         self.links.extend(other.links.iter().copied());
         let changed = self.nodes.len() != n0 || self.links.len() != l0;
-        self.epoch += u64::from(changed);
-        changed
+        self.touched(changed)
     }
 
     /// Whether node `u` is failed.
@@ -225,7 +256,7 @@ impl FaultSet {
         let changed = !self.is_empty();
         self.nodes.clear();
         self.links.clear();
-        self.epoch += u64::from(changed);
+        self.touched(changed);
     }
 
     /// Samples `count` distinct failed nodes uniformly from
@@ -254,6 +285,7 @@ impl FaultSet {
                 set.nodes.insert(u);
             }
         }
+        set.stamp = fresh_stamp();
         set
     }
 
@@ -276,6 +308,7 @@ impl FaultSet {
                 set.links.insert((u, v));
             }
         }
+        set.stamp = fresh_stamp();
         set
     }
 }
@@ -807,6 +840,36 @@ mod tests {
         b.fail_node(1);
         assert_ne!(a.epoch(), b.epoch());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn stamps_track_contents_across_sets() {
+        let mut a = FaultSet::new();
+        assert_eq!(a.stamp(), 0, "a new set is unstamped");
+        a.fail_node(1);
+        let s1 = a.stamp();
+        assert_ne!(s1, 0, "a change draws a stamp");
+        assert!(!a.fail_node(1));
+        assert_eq!(a.stamp(), s1, "a no-op keeps the stamp");
+        let clone = a.clone();
+        assert_eq!(clone.stamp(), s1, "a clone keeps the stamp");
+        // Same epoch, same fault count, different contents: different stamps.
+        let mut b = FaultSet::new();
+        b.fail_node(2);
+        assert_eq!(
+            (a.epoch(), a.num_failed_nodes()),
+            (b.epoch(), b.num_failed_nodes())
+        );
+        assert_ne!(a.stamp(), b.stamp());
+        a.fail_link(0, 1);
+        assert_ne!(a.stamp(), s1, "a mutation changes the stamp");
+        assert_eq!(clone.stamp(), s1, "the clone is not touched");
+        let mut rng = XorShift64::new(3);
+        let (x, y) = (
+            FaultSet::random_nodes(50, 3, &[], &mut rng),
+            FaultSet::random_nodes(50, 3, &[], &mut rng),
+        );
+        assert_ne!(x.stamp(), y.stamp(), "sampled sets are stamped");
     }
 
     #[test]

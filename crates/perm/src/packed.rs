@@ -2,7 +2,7 @@
 //!
 //! For `k ≤ 16` a permutation of `1..=k` fits a single machine word at
 //! 4 bits per symbol, and the group operations the routing hot path bottoms
-//! out in — compose, inverse, generator application — become short
+//! out in — compose and inverse — become short
 //! branch-free sequences of shifts and masks over that word. `scg_core`'s
 //! route planner runs every pair route on this kernel and has no other
 //! path: above [`MAX_PACKED_DEGREE`] it refuses the route with the same
@@ -206,20 +206,6 @@ impl PackedPerm {
         PackedPerm(out)
     }
 
-    /// Traverses the Cayley-graph link of a generator whose packed image
-    /// on the identity is `g`: the neighbor of node `self` along that
-    /// link.
-    ///
-    /// Generator application is pure position rearrangement, so it is
-    /// right multiplication: `g.apply(u) = u ∘ g.apply(id)` (see
-    /// `Generator::apply` in `scg-core` and [`Perm::act_on_label`]). This
-    /// is that right action on the packed form — an alias of
-    /// [`compose`](PackedPerm::compose) with the arguments in link order.
-    #[must_use]
-    pub fn apply_generator(self, g: PackedPerm) -> PackedPerm {
-        self.compose(g)
-    }
-
     /// The lexicographic Lehmer rank among all `k!` permutations of
     /// degree `k`, matching [`Perm::rank`] (identity ↦ 0).
     ///
@@ -378,25 +364,6 @@ mod tests {
             assert_eq!(packed.inverse(), PackedPerm::pack(&p.inverse()).unwrap());
             assert_eq!(packed.rank(6).unwrap(), p.rank());
             assert_eq!(PackedPerm::from_rank(6, p.rank()).unwrap(), packed);
-        }
-    }
-
-    #[test]
-    fn apply_generator_is_the_right_action() {
-        // T_i on the star graph: g = identity with positions 1 and i
-        // swapped; traversing the link from u swaps u's symbols 1 and i.
-        let mut rng = XorShift64::new(0x5AFE);
-        for k in [5usize, 9, 16] {
-            let u = Perm::random(k, &mut rng);
-            let pu = PackedPerm::pack(&u).unwrap();
-            for i in 2..=k {
-                let g = Perm::identity(k).swapped(1, i).unwrap();
-                let pg = PackedPerm::pack(&g).unwrap();
-                assert_eq!(
-                    pu.apply_generator(pg),
-                    PackedPerm::pack(&u.swapped(1, i).unwrap()).unwrap()
-                );
-            }
         }
     }
 

@@ -16,11 +16,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use scg_core::{
-    scg_route_faulty_with, CoreError, Generator, Materialized, SuperCayleyGraph, TopologyCache,
-    DEFAULT_NET_CAP,
+    route_faulty, CoreError, FaultScratch, Generator, RoutePlan, TopologyCache, MAX_FAULT_DEGREE,
 };
 use scg_graph::{ChaosEvent, FaultSet};
-use scg_perm::Perm;
+use scg_perm::{factorial, Perm};
 
 use crate::metrics::ServeMetrics;
 use crate::wire::{
@@ -106,12 +105,10 @@ impl FaultJournal {
 /// Everything a shard knows about one network.
 #[derive(Debug)]
 struct NetState {
-    net: SuperCayleyGraph,
-    plan: Arc<scg_core::RoutePlan>,
-    /// Materialized lazily: node ids are only needed once faults exist
-    /// (detour search and survivor BFS).
-    mat: Option<Materialized>,
+    plan: Arc<RoutePlan>,
     faults: FaultSet,
+    /// Degraded routing's prefilter and buffers, reused across frames.
+    scratch: FaultScratch,
     /// Reusable per-pair hop buffers for batch routing (capacity
     /// persists across frames).
     batch_out: Vec<Vec<Generator>>,
@@ -266,8 +263,7 @@ impl ShardCore {
                 .map_err(map_core_err)?;
             return Ok((0, buf.into_hops()));
         }
-        let mat = ensure_mat(state, &self.cache)?;
-        let routed = scg_route_faulty_with(&state.plan, &state.net, &mat, from, to, &state.faults)
+        let routed = route_faulty(&state.plan, &state.faults, from, to, &mut state.scratch)
             .map_err(map_core_err)?;
         let mut flags = 0u8;
         if routed.detours > 0 {
@@ -345,18 +341,8 @@ impl ShardCore {
         } else {
             // Degraded: pair-by-pair fault-aware routing with per-item
             // statuses (refusals do not fail the frame).
-            let mat = match ensure_mat(state, &self.cache) {
-                Ok(mat) => mat,
-                Err(code) => {
-                    out.truncate(at);
-                    self.metrics.inc_error(code);
-                    encode_error_into(out, code, "cannot materialize for degraded routing");
-                    return;
-                }
-            };
             for (from, to) in pairs {
-                match scg_route_faulty_with(&state.plan, &state.net, &mat, from, to, &state.faults)
-                {
+                match route_faulty(&state.plan, &state.faults, from, to, &mut state.scratch) {
                     Ok(routed) => {
                         self.metrics.routes.inc();
                         self.metrics.hops.observe(routed.hops.len() as u64);
@@ -403,12 +389,28 @@ impl ShardCore {
                 return FrameEffects::default();
             }
         };
-        // Materialize eagerly: degraded routing needs node ids, and
-        // failing *here* gives the reporter a typed TooLarge instead of
-        // failing every subsequent route.
-        if let Err(code) = ensure_mat(state, &self.cache) {
+        // Refuse the whole report before anything is journaled: degraded
+        // routing names nodes by `u32` rank, so it serves k ≤ 12, and
+        // every id must name a node of this network.
+        let k = state.plan.degree_k();
+        let nodes = factorial(k);
+        let names_nodes = |ev: &ChaosEvent| {
+            let (u, v) = ev.wire_args();
+            u64::from(u) < nodes && u64::from(v) < nodes
+        };
+        let refusal = if k > MAX_FAULT_DEGREE {
+            Some((
+                ErrCode::TooLarge,
+                "network too large for fault-aware routing",
+            ))
+        } else if !events.iter().all(names_nodes) {
+            Some((ErrCode::Malformed, "fault report names a node id >= k!"))
+        } else {
+            None
+        };
+        if let Some((code, why)) = refusal {
             self.metrics.inc_error(code);
-            encode_error_into(out, code, "network too large for fault-aware routing");
+            encode_error_into(out, code, why);
             return FrameEffects::default();
         }
         // Catch up on foreign events and publish ours under one lock so
@@ -459,8 +461,9 @@ fn resolve_in<'a>(
     match nets.entry(id) {
         Entry::Occupied(e) => Ok(e.into_mut()),
         Entry::Vacant(e) => {
-            let net = id.to_net()?;
-            let plan = cache.route_plan(&net).map_err(|_| ErrCode::BadNetwork)?;
+            let plan = cache
+                .route_plan(&id.to_net()?)
+                .map_err(|_| ErrCode::BadNetwork)?;
             let mut faults = FaultSet::new();
             // Catch up on every fault this network accumulated before this
             // shard first saw it (reports may have landed on other shards).
@@ -471,27 +474,13 @@ fn resolve_in<'a>(
                 }
             }
             Ok(e.insert(NetState {
-                net,
                 plan,
-                mat: None,
                 faults,
+                scratch: FaultScratch::new(),
                 batch_out: Vec::new(),
             }))
         }
     }
-}
-
-/// Materializes the network through the shard's cache on first need.
-/// `Materialized` is clone-cheap (shared `Arc` internals).
-fn ensure_mat(state: &mut NetState, cache: &TopologyCache) -> Result<Materialized, ErrCode> {
-    if state.mat.is_none() {
-        let mat = cache
-            .materialize(&state.net, DEFAULT_NET_CAP)
-            .map_err(map_core_err)?;
-        state.mat = Some(mat);
-    }
-    // scg-allow(SCG001): set just above; absence is unreachable
-    Ok(state.mat.clone().expect("materialized just above"))
 }
 
 fn map_core_err(e: CoreError) -> ErrCode {

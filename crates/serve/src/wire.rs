@@ -117,7 +117,8 @@ pub enum ErrCode {
     DegreeMismatch = 6,
     /// No route: a failed endpoint, or faults disconnect the pair.
     NoRoute = 7,
-    /// The operation needs a materialized network above the size cap.
+    /// The network is too large for the operation: fault reports and
+    /// degraded routing serve `k ≤ 12` (node ids are `u32` ranks).
     TooLarge = 8,
     /// Batch pair count is zero or exceeds [`MAX_BATCH_PAIRS`].
     BadCount = 9,

@@ -397,6 +397,179 @@ fn daemon_serves_full_protocol_over_loopback() {
     assert!(!sock.exists(), "socket not unlinked on shutdown");
 }
 
+/// A `FAULT_REPORT` naming any node id `>= k!` is refused whole as
+/// `Malformed`: none of its events is applied, not even the valid ones.
+#[test]
+fn fault_reports_naming_no_node_are_refused_whole() {
+    let sock = test_sock("badid");
+    let server = spawn(Config {
+        uds_path: sock.clone(),
+        tcp: false,
+        shards: 1,
+    })
+    .expect("spawn");
+    let mut client = Client::connect_uds(&sock).expect("connect");
+    // MS(2,2) has 5! = 120 nodes: ids 0..120.
+    for events in [
+        vec![ChaosEvent::FailNode(3), ChaosEvent::FailNode(120)],
+        vec![ChaosEvent::FailLink(3, u32::MAX)],
+    ] {
+        match client
+            .request(&Request::FaultReport {
+                net: ms22(),
+                events,
+            })
+            .expect("fault report")
+        {
+            Reply::Error { code, .. } => assert_eq!(code, ErrCode::Malformed),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+    // Node 3 was not failed: the route to it is clean.
+    let (from, to) = (Perm::identity(5), Perm::from_rank(5, 3).expect("rank"));
+    match client
+        .request(&Request::Route {
+            net: ms22(),
+            from,
+            to,
+        })
+        .expect("route")
+    {
+        Reply::RouteOk { flags, hops } => {
+            assert_eq!(flags, 0);
+            assert_eq!(apply_path(&from, &hops).expect("apply"), to);
+        }
+        other => panic!("expected a clean RouteOk, got {other:?}"),
+    }
+    assert!(client
+        .metrics(false)
+        .expect("metrics")
+        .contains("scg_serve_errors_total{code=\"malformed\"} 2"));
+    server.shutdown();
+}
+
+/// Degraded routing names nodes by `u32` rank, so fault reports are
+/// served up to k = 12 (no materialization) and refused as `TooLarge`
+/// from k = 13.
+#[test]
+fn fault_reports_are_served_to_k12_and_refused_above() {
+    let sock = test_sock("toolarge");
+    let server = spawn(Config {
+        uds_path: sock.clone(),
+        tcp: false,
+        shards: 1,
+    })
+    .expect("spawn");
+    let mut client = Client::connect_uds(&sock).expect("connect");
+    let is = |k: u8| NetId {
+        class: ScgClass::InsertionSelection,
+        levels: 1,
+        box_size: k - 1,
+    };
+    match client
+        .request(&Request::FaultReport {
+            net: is(13),
+            events: vec![ChaosEvent::FailNode(0)],
+        })
+        .expect("k = 13 report")
+    {
+        Reply::Error { code, .. } => assert_eq!(code, ErrCode::TooLarge),
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    // At k = 12, fail the first node of a clean route; the daemon detours.
+    let mut rng = XorShift64::new(0x12);
+    let (from, to) = (Perm::random(12, &mut rng), Perm::random(12, &mut rng));
+    let clean = scg_route(&is(12).to_net().expect("net"), &from, &to).expect("route");
+    let first = clean[0].apply(&from).expect("apply");
+    let node = u32::try_from(first.rank()).expect("12! fits u32");
+    match client
+        .request(&Request::FaultReport {
+            net: is(12),
+            events: vec![ChaosEvent::FailNode(node)],
+        })
+        .expect("k = 12 report")
+    {
+        Reply::FaultOk { applied, .. } => assert_eq!(applied, 1),
+        other => panic!("expected FaultOk, got {other:?}"),
+    }
+    match client
+        .request(&Request::Route {
+            net: is(12),
+            from,
+            to,
+        })
+        .expect("degraded route")
+    {
+        Reply::RouteOk { flags, hops } => {
+            assert_ne!(flags, 0, "the route must report its detour");
+            assert_eq!(apply_path(&from, &hops).expect("apply"), to);
+        }
+        other => panic!("expected RouteOk, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A destination cut off on IS(12) — its every neighbour failed — would
+/// send the survivor search over the whole 12!-node component. The search
+/// stops after a million reached nodes, so the daemon answers `TooLarge`
+/// in bounded time and memory and keeps serving.
+#[test]
+fn a_cut_off_destination_at_k12_is_refused_in_bounded_time() {
+    let sock = test_sock("cutoff");
+    let server = spawn(Config {
+        uds_path: sock.clone(),
+        tcp: false,
+        shards: 1,
+    })
+    .expect("spawn");
+    let mut client = Client::connect_uds(&sock).expect("connect");
+    let net = NetId {
+        class: ScgClass::InsertionSelection,
+        levels: 1,
+        box_size: 11,
+    };
+    let mut rng = XorShift64::new(0xC0);
+    let (from, to) = (Perm::random(12, &mut rng), Perm::random(12, &mut rng));
+    let rank = |p: &Perm| u32::try_from(p.rank()).expect("12! fits u32");
+    let events = net
+        .to_net()
+        .expect("net")
+        .generators()
+        .iter()
+        .map(|g| ChaosEvent::FailNode(rank(&g.apply(&to).expect("apply"))))
+        .collect();
+    match client
+        .request(&Request::FaultReport { net, events })
+        .expect("report")
+    {
+        Reply::FaultOk { applied, .. } => assert!(applied > 0),
+        other => panic!("expected FaultOk, got {other:?}"),
+    }
+    let started = std::time::Instant::now();
+    match client
+        .request(&Request::Route { net, from, to })
+        .expect("route to a cut-off node")
+    {
+        Reply::Error { code, .. } => assert_eq!(code, ErrCode::TooLarge),
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    let took = started.elapsed();
+    assert!(took.as_secs() < 60, "bounded search took {took:?}");
+    // The shard is free again: a route that avoids the faults is served.
+    match client
+        .request(&Request::Route {
+            net,
+            from,
+            to: from,
+        })
+        .expect("trivial route")
+    {
+        Reply::RouteOk { hops, .. } => assert!(hops.is_empty()),
+        other => panic!("expected RouteOk, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// A batch mixing degrees is refused as one typed frame error, and an
 /// empty-batch encoding attempt is rejected by the decoder.
 #[test]

@@ -4,8 +4,8 @@
 //! Run with `cargo run --release --example fault_routing`.
 
 use supercayley::core::{
-    materialize, route_plan, scg_route, scg_route_faulty_with, CayleyNetwork, SuperCayleyGraph,
-    SMALL_NET_CAP,
+    materialize, route_faulty, route_plan, scg_route, CayleyNetwork, FaultScratch,
+    SuperCayleyGraph, SMALL_NET_CAP,
 };
 use supercayley::graph::{vertex_connectivity, FaultSet, SurvivorView};
 use supercayley::perm::{Perm, XorShift64};
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ...and the fault-aware router, walking the network's compiled plan,
     // detours around the dead link.
     let compiled = route_plan(&ms)?;
-    let routed = scg_route_faulty_with(&compiled, &ms, &mat, &from, &to, &faults)?;
+    let routed = route_faulty(&compiled, &faults, &from, &to, &mut FaultScratch::new())?;
     println!(
         "fault-aware     : {} hops, {} detour(s), fallback = {}",
         routed.len(),

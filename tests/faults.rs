@@ -1,13 +1,13 @@
 //! Fault-tolerance properties across all ten classes at Table II sizes
 //! (k = 5, 120 nodes): connectivity equals degree (verified by the
 //! max-flow audit), any `degree − 1` node faults leave the survivors
-//! strongly connected, and `scg_route_faulty_with` delivers every sampled pair
+//! strongly connected, and `route_faulty` delivers every sampled pair
 //! under such faults — within the dilation bound whenever no fault
 //! handling fired.
 
 use supercayley::core::{
-    materialize, route_plan, scg_route_faulty_with, star_distance_between, CayleyNetwork,
-    CoreError, Generator, Materialized, SuperCayleyGraph, SMALL_NET_CAP,
+    materialize, route_faulty, route_plan, star_distance_between, CayleyNetwork, CoreError,
+    FaultScratch, Generator, Materialized, SuperCayleyGraph, SMALL_NET_CAP,
 };
 use supercayley::graph::{edge_connectivity, vertex_connectivity, FaultSet, SurvivorView};
 use supercayley::perm::{Perm, XorShift64};
@@ -118,6 +118,7 @@ fn faulty_routing_delivers_every_sampled_pair() {
         let plan = route_plan(&net).unwrap();
         let mut rng = XorShift64::new(0xFA20);
         let faults = FaultSet::random_nodes(mat.num_nodes(), degree - 1, &[], &mut rng);
+        let mut scratch = FaultScratch::new();
         let (mut delivered, mut fallbacks, mut detoured) = (0u32, 0u32, 0u32);
         let mut sampled = 0u32;
         while sampled < 30 {
@@ -129,7 +130,7 @@ fn faulty_routing_delivers_every_sampled_pair() {
                 continue;
             }
             sampled += 1;
-            let routed = scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults)
+            let routed = route_faulty(&plan, &faults, &from, &to, &mut scratch)
                 .unwrap_or_else(|e| panic!("{}: {src} → {dst} failed: {e}", net.name()));
             assert_eq!(walk_avoiding(&net, &mat, &faults, src, &routed.hops), dst);
             delivered += 1;
@@ -161,7 +162,7 @@ fn route_to_failed_destination_reports_no_route() {
     faults.fail_node(mat.node_id(&to).unwrap());
     let plan = route_plan(&net).unwrap();
     assert!(matches!(
-        scg_route_faulty_with(&plan, &net, &mat, &from, &to, &faults),
+        route_faulty(&plan, &faults, &from, &to, &mut FaultScratch::new()),
         Err(CoreError::NoRoute)
     ));
 }

@@ -6,7 +6,9 @@
 //! byte-identical hop sequences to the legacy expansion on all ten
 //! `k = 5` classes and on seeded `k = 9` / `k = 13` shapes.
 
-use supercayley::core::{route_plan, star_route, CayleyNetwork, Generator, SuperCayleyGraph};
+use supercayley::core::{
+    route_plan, star_route, CayleyNetwork, Generator, ScgClass, SuperCayleyGraph,
+};
 use supercayley::perm::{PackedPerm, Perm, Permutations, XorShift64, MAX_PACKED_DEGREE};
 
 fn packed_group(k: usize) -> Vec<(Perm, PackedPerm)> {
@@ -81,12 +83,6 @@ fn compose_matches_perm_on_all_pairs_of_s7() {
 #[test]
 fn unary_ops_match_perm_on_every_element_up_to_s7() {
     for k in 1..=7 {
-        let links: Vec<(usize, PackedPerm)> = (2..=k)
-            .map(|i| {
-                let g = Perm::identity(k).swapped(1, i).unwrap();
-                (i, PackedPerm::pack(&g).unwrap())
-            })
-            .collect();
         for (p, packed) in &packed_group(k) {
             assert_eq!(
                 packed.inverse(),
@@ -100,10 +96,10 @@ fn unary_ops_match_perm_on_every_element_up_to_s7() {
                 "k={k}: rank {} unrank",
                 p.rank()
             );
-            for (i, pg) in &links {
+            for i in 2..=k {
                 assert_eq!(
-                    packed.apply_generator(*pg),
-                    PackedPerm::pack(&p.swapped(1, *i).unwrap()).unwrap(),
+                    Generator::transposition(i).apply_packed(*packed, k),
+                    PackedPerm::pack(&p.swapped(1, i).unwrap()).unwrap(),
                     "k={k}: {p} along T_{i}"
                 );
             }
@@ -147,9 +143,8 @@ fn random_sweeps_match_perm_at_degrees_9_to_16() {
                 "k={k}: {a} inverse"
             );
             let i = 2 + (rng.next_u64() as usize) % (k - 1);
-            let g = PackedPerm::pack(&Perm::identity(k).swapped(1, i).unwrap()).unwrap();
             assert_eq!(
-                pa.apply_generator(g),
+                Generator::transposition(i).apply_packed(pa, k),
                 PackedPerm::pack(&a.swapped(1, i).unwrap()).unwrap(),
                 "k={k}: {a} along T_{i}"
             );
@@ -160,6 +155,37 @@ fn random_sweeps_match_perm_at_degrees_9_to_16() {
                 "k={k}: rank {} unrank",
                 a.rank()
             );
+        }
+    }
+}
+
+/// `Generator::apply_packed` is `Generator::apply` on the word: every
+/// generator of the ten classes at `k = 5` and at `k = 7` (both box
+/// shapes), and of `IS(8)`, applied to every label of its group.
+#[test]
+fn apply_packed_matches_apply_on_every_label() {
+    let mut hosts = vec![SuperCayleyGraph::insertion_selection(8).unwrap()];
+    for class in ScgClass::ALL {
+        if class == ScgClass::InsertionSelection {
+            hosts.push(SuperCayleyGraph::insertion_selection(5).unwrap());
+            hosts.push(SuperCayleyGraph::insertion_selection(7).unwrap());
+        } else {
+            for (l, n) in [(2, 2), (3, 2), (2, 3)] {
+                hosts.push(SuperCayleyGraph::new(class, l, n).unwrap());
+            }
+        }
+    }
+    for net in &hosts {
+        let k = net.degree_k();
+        for (u, pu) in packed_group(k) {
+            for &g in net.generators() {
+                assert_eq!(
+                    g.apply_packed(pu, k),
+                    PackedPerm::pack(&g.apply(&u).unwrap()).unwrap(),
+                    "{}: {g} on {u}",
+                    net.name()
+                );
+            }
         }
     }
 }
