@@ -25,7 +25,7 @@ use crate::driver::Diagnostic;
 use crate::rules::RuleId;
 
 /// Schema tag; bump on any layout change so stale caches self-discard.
-pub const CACHE_SCHEMA: &str = "scg-analyze-cache/v1";
+pub const CACHE_SCHEMA: &str = "scg-analyze-cache/v2";
 
 /// Everything the per-file pass produced for one file.
 #[derive(Debug, Clone)]
@@ -171,6 +171,7 @@ fn encode_summary(f: &FnSummary) -> Json {
         ("crate".to_string(), s(&f.krate)),
         ("file".to_string(), s(&f.file)),
         ("name".to_string(), s(&f.name)),
+        ("pub".to_string(), Json::Int(i128::from(u8::from(f.is_pub)))),
         ("line".to_string(), n(f.line)),
         ("col".to_string(), n(f.col)),
         (
@@ -206,6 +207,7 @@ fn decode_summary(v: &Json) -> Option<FnSummary> {
             Some(t) => Some(t.as_string(0).ok()?.to_string()),
             None => None,
         },
+        is_pub: obj.get("pub")?.as_u64(0).ok()? != 0,
         line: u32::try_from(obj.get("line")?.as_u64(0).ok()?).ok()?,
         col: u32::try_from(obj.get("col")?.as_u64(0).ok()?).ok()?,
         panics,

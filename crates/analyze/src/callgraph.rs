@@ -13,7 +13,8 @@
 //!   prefix; bare `sym_u8(..)` resolves through the file's `use` map and
 //!   falls back to same-crate free functions;
 //! * `.method(..)` on a non-`self` receiver resolves by name against
-//!   every workspace `impl` method visible from the calling crate —
+//!   every workspace `impl` method the calling crate can call (its own,
+//!   and the `pub` or trait-impl ones of its dependencies) —
 //!   except names that shadow std-prelude methods (`push`, `len`,
 //!   `lock`, ..), which resolve to std and are assumed total. Workspace
 //!   methods behind such names are therefore only audited at `self.`
@@ -167,6 +168,10 @@ pub struct FnSummary {
     pub name: String,
     /// Enclosing `impl` type, if any.
     pub impl_type: Option<String>,
+    /// Whether other crates can call it (see [`FnItem::is_pub`]).
+    ///
+    /// [`FnItem::is_pub`]: crate::syntax::FnItem::is_pub
+    pub is_pub: bool,
     /// 1-based line of the name token.
     pub line: u32,
     /// 1-based column of the name token.
@@ -241,6 +246,7 @@ pub fn summarize_file(
             file: info.rel_path.clone(),
             name: f.name.clone(),
             impl_type: f.impl_type.clone(),
+            is_pub: f.is_pub,
             line: f.line,
             col: f.col,
             panics: Vec::new(),
@@ -620,6 +626,12 @@ pub fn reachability(
     }
     let empty = BTreeSet::new();
     let vis = |from: &str, to: &str| from == to || visible.get(from).unwrap_or(&empty).contains(to);
+    // A method is callable from its own crate, and from a dependent crate
+    // only if it is `pub`.
+    let callable = |from: &FnSummary, id: usize| {
+        let to = &summaries[id];
+        from.krate == to.krate || (to.is_pub && vis(&from.krate, &to.krate))
+    };
 
     // Name indexes.
     let mut free: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
@@ -649,12 +661,7 @@ pub fn reachability(
                 .unwrap_or_default(),
             Callee::Typed(ty, name) => typed
                 .get(&(ty.as_str(), name.as_str()))
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|&id| vis(&from.krate, &summaries[id].krate))
-                        .collect()
-                })
+                .map(|v| v.iter().copied().filter(|&id| callable(from, id)).collect())
                 .unwrap_or_default(),
             Callee::Cratewide(k, ty, name) => match ty {
                 Some(t) => typed
@@ -677,12 +684,7 @@ pub fn reachability(
             },
             Callee::Method(name) => methods
                 .get(name.as_str())
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|&id| vis(&from.krate, &summaries[id].krate))
-                        .collect()
-                })
+                .map(|v| v.iter().copied().filter(|&id| callable(from, id)).collect())
                 .unwrap_or_default(),
         };
         ids.sort_unstable();

@@ -38,6 +38,10 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Whether the item sits inside test-gated code.
     pub is_test: bool,
+    /// Whether other crates can name it: declared plain `pub` (not
+    /// `pub(crate)` and the like), or a method of an `impl Trait for`
+    /// block, which is as visible as its trait.
+    pub is_pub: bool,
 }
 
 /// An `unsafe { .. }` block expression (not an `unsafe fn` header).
@@ -102,8 +106,9 @@ enum ScopeKind {
     Block,
     /// A `fn` body; the payload indexes [`SyntaxTree::fns`].
     Fn(usize),
-    /// An `impl` body with the resolved type name.
-    Impl(String),
+    /// An `impl` body with the resolved type name, and whether it
+    /// implements a trait.
+    Impl(String, bool),
     /// An `unsafe { .. }` block; the payload indexes
     /// [`SyntaxTree::unsafe_blocks`].
     Unsafe(usize),
@@ -279,9 +284,14 @@ impl Walker<'_> {
         let name = name_tok.text(self.src).trim_start_matches("r#").to_string();
         let (test, start) = self.take_pending(name_tok.line);
         let impl_type = self.scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Impl(name) => Some(name.clone()),
+            ScopeKind::Impl(name, _) => Some(name.clone()),
             _ => None,
         });
+        let is_pub = self.declared_pub(i)
+            || self
+                .scopes
+                .last()
+                .is_some_and(|s| matches!(s.kind, ScopeKind::Impl(_, true)));
         let in_extern = self
             .scopes
             .last()
@@ -307,6 +317,7 @@ impl Walker<'_> {
                         col: name_tok.col,
                         body: None,
                         is_test: test,
+                        is_pub,
                     });
                     if test {
                         self.mark(start, self.line(j.min(self.tree.sig.len() - 1)));
@@ -324,6 +335,7 @@ impl Walker<'_> {
             col: name_tok.col,
             body: Some((j, j)),
             is_test: test,
+            is_pub,
         });
         self.scopes.push(Scope {
             kind: ScopeKind::Fn(ix),
@@ -333,6 +345,21 @@ impl Walker<'_> {
         j + 1
     }
 
+    /// Whether the `fn` keyword at `i` follows a plain `pub`, past any
+    /// `const`, `async`, `unsafe` and `extern "abi"` qualifiers.
+    fn declared_pub(&self, i: usize) -> bool {
+        let mut j = i;
+        while j > 0 {
+            j -= 1;
+            let qualifier = matches!(self.txt(j), "const" | "async" | "unsafe" | "extern")
+                || self.tok(j).is_some_and(|t| t.kind == TokenKind::Str);
+            if !qualifier {
+                return self.txt(j) == "pub";
+            }
+        }
+        false
+    }
+
     /// Handles `impl<..> [Trait for] Type {`; returns the resume index
     /// (just past the body `{`).
     fn item_impl(&mut self, i: usize) -> usize {
@@ -340,6 +367,7 @@ impl Walker<'_> {
         let mut j = i + 1;
         let mut name = String::new();
         let mut angle = 0usize;
+        let mut of_trait = false;
         loop {
             let t = self.txt(j);
             match t {
@@ -348,7 +376,10 @@ impl Walker<'_> {
                 "<" => angle += 1,
                 // `->` inside `Fn()` bounds is an arrow, not a close.
                 ">" if angle > 0 && self.txt(j - 1) != "-" => angle -= 1,
-                "for" if angle == 0 => name.clear(),
+                "for" if angle == 0 => {
+                    name.clear();
+                    of_trait = true;
+                }
                 "where" if angle == 0 => {
                     // The type is fully named before the clause.
                     while !matches!(self.txt(j), "{" | "") {
@@ -365,7 +396,7 @@ impl Walker<'_> {
             j += 1;
         }
         self.scopes.push(Scope {
-            kind: ScopeKind::Impl(name),
+            kind: ScopeKind::Impl(name, of_trait),
             start_line: start,
             test,
         });

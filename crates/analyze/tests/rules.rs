@@ -4,6 +4,9 @@
 //! it. The rendered diagnostics are also pinned to a golden file with the
 //! same `UPDATE_GOLDEN=1` convention as `tests/observability.rs`.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use scg_analyze::callgraph::{reachability, PanicFinding, DEFAULT_ENTRIES};
 use scg_analyze::driver::{analyze_source, Analysis, Diagnostic};
 use scg_analyze::report::{render_text, validate_report};
 use scg_analyze::rules::{FileInfo, RuleId};
@@ -359,4 +362,48 @@ fn scg009_is_scoped_to_the_serve_crate() {
     let mut analysis = Analysis::default();
     analyze_source(src, &info, &mut analysis);
     assert_eq!(analysis.count(RuleId::Scg009), 0);
+}
+
+/// SCG008 over a serve entry calling `r.finish()` on its own `Reader`,
+/// with a panicking `finish` declared as `{vis}fn finish` inside `{header}`
+/// in `scg-core`, which serve depends on.
+fn cross_crate_finish(header: &str, vis: &str) -> Vec<PanicFinding> {
+    let core = format!(
+        "pub struct Bfs;\n\n{header} {{\n    {vis}fn finish(&self) -> u32 {{\n        \
+         panic!(\"core\")\n    }}\n}}\n"
+    );
+    let serve = "pub struct Reader;\n\nimpl Reader {\n    fn finish(&self) -> u32 {\n        \
+                 0\n    }\n}\n\npub fn decode_request(r: &Reader) -> u32 {\n    r.finish()\n}\n";
+    let mut analysis = Analysis::default();
+    for (path, krate, src) in [
+        ("crates/core/src/routing/fault.rs", "core", core.as_str()),
+        ("crates/serve/src/wire.rs", "serve", serve),
+    ] {
+        let info = FileInfo {
+            rel_path: path.to_string(),
+            crate_name: krate.to_string(),
+        };
+        analyze_source(src, &info, &mut analysis);
+    }
+    let deps = BTreeMap::from([
+        ("core".to_string(), BTreeSet::new()),
+        ("serve".to_string(), BTreeSet::from(["core".to_string()])),
+    ]);
+    reachability(&analysis.summaries, &deps, &DEFAULT_ENTRIES)
+}
+
+#[test]
+fn scg008_method_calls_reach_only_methods_other_crates_can_call() {
+    // Private and crate-restricted methods of a dependency are not what a
+    // `.finish()` in serve calls.
+    assert!(cross_crate_finish("impl Bfs", "").is_empty());
+    assert!(cross_crate_finish("impl Bfs", "pub(crate) ").is_empty());
+    // `pub` methods and trait-impl methods are.
+    let expected = "panic reachable from entry `decode_request`: decode_request → \
+                    Bfs::finish — panic! at crates/core/src/routing/fault.rs:5";
+    for (header, vis) in [("impl Bfs", "pub "), ("impl Finish for Bfs", "")] {
+        let findings = cross_crate_finish(header, vis);
+        let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(messages, vec![expected], "{header} {{ {vis}fn finish }}");
+    }
 }

@@ -7,6 +7,12 @@
 //! one per step (round-robin over non-empty queues). This is the machinery
 //! the MNB/TE experiments (Corollaries 2–3) run on.
 //!
+//! The simulator keeps one occupancy bit per link queue (by CSR edge id),
+//! set while the queue holds a packet, and a step walks only the set bits
+//! in increasing edge id — the same (node, slot) order a scan of every
+//! link would take. A step therefore costs O(occupied links +
+//! transmissions), plus one word per 64 links, not O(N·d).
+//!
 //! Faults can be injected *and repaired* mid-run ([`SyncSim::fail_node`],
 //! [`SyncSim::repair_node`], link variants, or a whole seeded
 //! [`FaultSchedule`] via [`SyncSim::apply_chaos`]) without resetting the
@@ -597,9 +603,15 @@ pub struct SyncSim<'a> {
     model: PortModel,
     /// FIFO per directed link (CSR edge index).
     queues: Vec<VecDeque<Flight>>,
+    /// Bit `e` set iff `queues[e]` is non-empty.
+    occupied: Vec<u64>,
+    /// `edge_owner[e]` = the node whose out-edge `e` is.
+    edge_owner: Vec<NodeId>,
     /// Round-robin pointer per node (single-port fairness).
     rr: Vec<usize>,
     link_traffic: Vec<u64>,
+    /// The largest entry of `link_traffic`.
+    max_link_traffic: u64,
     faults: FaultSet,
     ttl_limit: u32,
     retry_limit: u32,
@@ -632,12 +644,18 @@ impl<'a> SyncSim<'a> {
             .map(|u| graph.out_degree(u as NodeId))
             .max()
             .unwrap_or(0) as u32;
+        let edge_owner = (0..graph.num_nodes() as NodeId)
+            .flat_map(|u| graph.edge_range(u).map(move |_| u))
+            .collect();
         SyncSim {
             graph,
             model,
             queues: vec![VecDeque::new(); graph.num_edges()],
+            occupied: vec![0; graph.num_edges().div_ceil(64)],
+            edge_owner,
             rr: vec![0; graph.num_nodes()],
             link_traffic: vec![0; graph.num_edges()],
+            max_link_traffic: 0,
             faults: FaultSet::new(),
             ttl_limit: u32::MAX,
             retry_limit,
@@ -707,7 +725,7 @@ impl<'a> SyncSim<'a> {
             steps: self.now,
             delivered: self.delivered,
             transmissions: self.transmissions,
-            max_link_traffic: self.link_traffic.iter().copied().max().unwrap_or(0),
+            max_link_traffic: self.max_link_traffic,
             dropped: self.dropped,
             retried: self.retried,
             recovered: self.recovered,
@@ -723,11 +741,7 @@ impl<'a> SyncSim<'a> {
         if self.faults.is_empty() {
             return false;
         }
-        (0..self.graph.num_nodes() as NodeId).any(|u| {
-            let base = self.edge_base(u);
-            (0..self.graph.out_degree(u))
-                .any(|slot| !self.queues[base + slot].is_empty() && self.slot_dead(u, slot))
-        })
+        self.occupied_edges().any(|e| self.edge_dead(e))
     }
 
     /// Fails node `u` (fail-stop): the node stops forwarding, every link
@@ -748,6 +762,7 @@ impl<'a> SyncSim<'a> {
         for e in self.graph.edge_range(u) {
             lost += self.queues[e].len() as u64;
             self.queues[e].clear();
+            self.mark_empty(e);
         }
         self.dropped += lost;
         self.in_flight -= lost;
@@ -929,12 +944,15 @@ impl<'a> SyncSim<'a> {
                     });
                 }
                 let base = self.edge_base(at);
-                self.queues[base + slot].push_back(Flight {
-                    packet,
-                    ttl: self.ttl_limit,
-                    retries: 0,
-                    not_before: 0,
-                });
+                self.push(
+                    base + slot,
+                    Flight {
+                        packet,
+                        ttl: self.ttl_limit,
+                        retries: 0,
+                        not_before: 0,
+                    },
+                );
                 self.in_flight += 1;
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::injected();
@@ -955,6 +973,34 @@ impl<'a> SyncSim<'a> {
         self.graph.edge_range(u).start
     }
 
+    /// Appends `flight` to queue `e`, marking it occupied.
+    fn push(&mut self, e: usize, flight: Flight) {
+        self.queues[e].push_back(flight);
+        self.occupied[e / 64] |= 1 << (e % 64);
+    }
+
+    /// Clears queue `e`'s occupancy bit; the queue must be empty.
+    fn mark_empty(&mut self, e: usize) {
+        debug_assert!(self.queues[e].is_empty());
+        self.occupied[e / 64] &= !(1 << (e % 64));
+    }
+
+    /// The lowest occupied edge id at or after `from`.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.occupied.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.occupied.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The occupied edge ids, in increasing order.
+    fn occupied_edges(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_occupied(0), |&e| self.next_occupied(e + 1))
+    }
+
     /// Packets currently queued.
     #[must_use]
     pub fn in_flight(&self) -> u64 {
@@ -967,6 +1013,12 @@ impl<'a> SyncSim<'a> {
         self.faults.blocks(u, v)
     }
 
+    /// Whether edge `e` is currently dead.
+    fn edge_dead(&self, e: usize) -> bool {
+        let u = self.edge_owner[e];
+        self.slot_dead(u, e - self.edge_base(u))
+    }
+
     /// Retry phase: drain every queue sitting on a dead link, re-consult
     /// the router with the dead slots masked, and relocate, park (backoff),
     /// or drop each packet.
@@ -975,77 +1027,80 @@ impl<'a> SyncSim<'a> {
         if self.faults.is_empty() {
             return Ok(());
         }
-        for u in 0..self.graph.num_nodes() as NodeId {
-            if self.faults.node_failed(u) {
-                continue; // its queues were already dropped by fail_node
+        // The walk reads the bitmap live. A drained queue is only refilled
+        // by its own parked flights (behind the cursor) or by relocations
+        // to live slots (skipped), so each dead queue is drained once.
+        let mut cursor = 0;
+        while let Some(e) = self.next_occupied(cursor) {
+            cursor = e + 1;
+            let u = self.edge_owner[e];
+            // A failed node's queues were already dropped by fail_node.
+            if self.faults.node_failed(u) || !self.edge_dead(e) {
+                continue;
             }
             let deg = self.graph.out_degree(u);
             let base = self.edge_base(u);
-            for slot in 0..deg {
-                if !self.slot_dead(u, slot) {
+            // Take the backlog so parked flights can be pushed back onto
+            // the same (dead) queue without being re-examined.
+            let mut backlog = std::mem::take(&mut self.queues[e]);
+            self.mark_empty(e);
+            while let Some(mut flight) = backlog.pop_front() {
+                if flight.not_before > self.now {
+                    self.waiting += 1;
+                    self.push(e, flight);
                     continue;
                 }
-                // Take the backlog so parked flights can be pushed back
-                // onto the same (dead) queue without being re-examined.
-                let mut backlog = std::mem::take(&mut self.queues[base + slot]);
-                while let Some(mut flight) = backlog.pop_front() {
-                    if flight.not_before > self.now {
-                        self.waiting += 1;
-                        self.queues[base + slot].push_back(flight);
-                        continue;
-                    }
-                    self.in_flight -= 1;
-                    if flight.retries >= self.retry_limit {
-                        self.dropped += 1;
-                        #[cfg(feature = "obs")]
-                        crate::obs_hooks::dropped(1);
-                        continue;
-                    }
-                    flight.retries += 1;
-                    self.retried += 1;
+                self.in_flight -= 1;
+                if flight.retries >= self.retry_limit {
+                    self.dropped += 1;
                     #[cfg(feature = "obs")]
-                    crate::obs_hooks::retried();
-                    let hop = {
-                        let faults = &self.faults;
-                        let graph = self.graph;
-                        let dead = move |s: usize| faults.blocks(u, graph.out_neighbors(u)[s]);
-                        router.reroute(u, &flight.packet, deg, &dead)
-                    };
-                    match hop {
-                        NextHop::Deliver => {
-                            self.delivered += 1;
-                            self.recovered += 1;
-                            #[cfg(feature = "obs")]
-                            crate::obs_hooks::delivered(u64::from(self.ttl_limit - flight.ttl));
-                        }
-                        NextHop::Forward(s) if s < deg && !self.slot_dead(u, s) => {
-                            self.queues[base + s].push_back(flight);
+                    crate::obs_hooks::dropped(1);
+                    continue;
+                }
+                flight.retries += 1;
+                self.retried += 1;
+                #[cfg(feature = "obs")]
+                crate::obs_hooks::retried();
+                let hop = {
+                    let faults = &self.faults;
+                    let graph = self.graph;
+                    let dead = move |s: usize| faults.blocks(u, graph.out_neighbors(u)[s]);
+                    router.reroute(u, &flight.packet, deg, &dead)
+                };
+                match hop {
+                    NextHop::Deliver => {
+                        self.delivered += 1;
+                        self.recovered += 1;
+                        #[cfg(feature = "obs")]
+                        crate::obs_hooks::delivered(u64::from(self.ttl_limit - flight.ttl));
+                    }
+                    NextHop::Forward(s) if s < deg && !self.slot_dead(u, s) => {
+                        self.push(base + s, flight);
+                        self.in_flight += 1;
+                    }
+                    NextHop::Forward(s) if s >= deg => {
+                        return Err(EmuError::SimOutOfRange {
+                            reason: "router slot out of range",
+                        });
+                    }
+                    // Rerouted onto another dead slot or unreachable: the
+                    // packet has nowhere live to go. With backoff enabled
+                    // it parks and waits for a repair (the retry limit
+                    // still bounds total attempts); without, it drops
+                    // immediately.
+                    NextHop::Forward(_) | NextHop::Unreachable => {
+                        if self.backoff_base > 0 {
+                            let exp = flight.retries.saturating_sub(1).min(20);
+                            let delay = (u64::from(self.backoff_base) << exp)
+                                .clamp(1, u64::from(self.backoff_cap).max(1));
+                            flight.not_before = self.now + delay;
+                            self.waiting += 1;
+                            self.push(e, flight);
                             self.in_flight += 1;
-                        }
-                        NextHop::Forward(s) if s >= deg => {
-                            return Err(EmuError::SimOutOfRange {
-                                reason: "router slot out of range",
-                            });
-                        }
-                        // Rerouted onto another dead slot or unreachable:
-                        // the packet has nowhere live to go. With backoff
-                        // enabled it parks and waits for a repair (the
-                        // retry limit still bounds total attempts);
-                        // without, it drops immediately.
-                        NextHop::Forward(_) | NextHop::Unreachable => {
-                            if self.backoff_base > 0 {
-                                let exp = flight.retries.saturating_sub(1).min(20);
-                                let delay = (u64::from(self.backoff_base) << exp)
-                                    .clamp(1, u64::from(self.backoff_cap).max(1));
-                                flight.not_before = self.now + delay;
-                                self.waiting += 1;
-                                self.queues[base + slot].push_back(flight);
-                                self.in_flight += 1;
-                            } else {
-                                self.dropped += 1;
-                                #[cfg(feature = "obs")]
-                                crate::obs_hooks::dropped(1);
-                            }
+                        } else {
+                            self.dropped += 1;
+                            #[cfg(feature = "obs")]
+                            crate::obs_hooks::dropped(1);
                         }
                     }
                 }
@@ -1054,10 +1109,11 @@ impl<'a> SyncSim<'a> {
         Ok(())
     }
 
-    /// Pops the next transmittable flight of queue `base + slot`, dropping
+    /// Pops the next transmittable flight of queue `e`, dropping
     /// TTL-exhausted heads (they do not consume link capacity).
-    fn pop_transmittable(&mut self, base: usize, slot: usize) -> Option<Flight> {
-        while let Some(flight) = self.queues[base + slot].pop_front() {
+    fn pop_transmittable(&mut self, e: usize) -> Option<Flight> {
+        let mut sent = None;
+        while let Some(flight) = self.queues[e].pop_front() {
             self.in_flight -= 1;
             if flight.ttl == 0 {
                 self.dropped += 1;
@@ -1065,9 +1121,24 @@ impl<'a> SyncSim<'a> {
                 crate::obs_hooks::dropped(1);
                 continue;
             }
-            return Some(flight);
+            sent = Some(flight);
+            break;
         }
-        None
+        if self.queues[e].is_empty() {
+            self.mark_empty(e);
+        }
+        sent
+    }
+
+    /// Sends the next transmittable flight on out-slot `slot` of `u`
+    /// (edge `base + slot`) and returns its arrival at the far end.
+    fn transmit(&mut self, u: NodeId, base: usize, slot: usize) -> Option<(NodeId, Flight)> {
+        let mut flight = self.pop_transmittable(base + slot)?;
+        let traffic = &mut self.link_traffic[base + slot];
+        *traffic += 1;
+        self.max_link_traffic = self.max_link_traffic.max(*traffic);
+        flight.ttl -= 1;
+        Some((self.graph.out_neighbors(u)[slot], flight))
     }
 
     /// Runs one synchronous step; returns the number of packets moved.
@@ -1082,41 +1153,32 @@ impl<'a> SyncSim<'a> {
         self.retry_dead_queues(router)?;
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.clear();
-        for u in 0..self.graph.num_nodes() as NodeId {
-            if self.faults.node_failed(u) {
-                continue;
-            }
-            let deg = self.graph.out_degree(u);
-            if deg == 0 {
-                continue;
-            }
+        // Without faults no slot is dead; a dead one (a failed node's
+        // included) never transmits.
+        let faulty = !self.faults.is_empty();
+        let mut cursor = 0;
+        while let Some(e) = self.next_occupied(cursor) {
+            let u = self.edge_owner[e];
             let base = self.edge_base(u);
             match self.model {
                 PortModel::AllPort => {
-                    for slot in 0..deg {
-                        if self.slot_dead(u, slot) {
-                            continue;
-                        }
-                        if let Some(mut flight) = self.pop_transmittable(base, slot) {
-                            let v = self.graph.out_neighbors(u)[slot];
-                            self.link_traffic[base + slot] += 1;
-                            flight.ttl -= 1;
-                            arrivals.push((v, flight));
-                        }
+                    cursor = e + 1;
+                    let slot = e - base;
+                    if !(faulty && self.slot_dead(u, slot)) {
+                        arrivals.extend(self.transmit(u, base, slot));
                     }
                 }
                 PortModel::SinglePort => {
+                    let deg = self.graph.out_degree(u);
+                    cursor = base + deg;
                     let start = self.rr[u as usize];
                     for off in 0..deg {
                         let slot = (start + off) % deg;
-                        if self.slot_dead(u, slot) {
+                        if faulty && self.slot_dead(u, slot) {
                             continue;
                         }
-                        if let Some(mut flight) = self.pop_transmittable(base, slot) {
-                            let v = self.graph.out_neighbors(u)[slot];
-                            self.link_traffic[base + slot] += 1;
-                            flight.ttl -= 1;
-                            arrivals.push((v, flight));
+                        if let Some(arrival) = self.transmit(u, base, slot) {
+                            arrivals.push(arrival);
                             self.rr[u as usize] = (slot + 1) % deg;
                             break;
                         }
@@ -1143,7 +1205,7 @@ impl<'a> SyncSim<'a> {
                     // Queue even if the slot is currently dead: the retry
                     // phase of the next step re-consults the router.
                     let base = self.edge_base(v);
-                    self.queues[base + slot].push_back(flight);
+                    self.push(base + slot, flight);
                     self.in_flight += 1;
                 }
                 // Mid-flight unreachability is fault-induced; count the
@@ -1164,10 +1226,10 @@ impl<'a> SyncSim<'a> {
     /// Per-cycle metric readings (compiled only with the `obs` feature).
     #[cfg(feature = "obs")]
     fn obs_record_step(&self, moved: u64, delivered_delta: u64) {
+        // Empty queues have length 0, so the occupied ones hold the peak.
         let queue_peak = self
-            .queues
-            .iter()
-            .map(std::collections::VecDeque::len)
+            .occupied_edges()
+            .map(|e| self.queues[e].len())
             .max()
             .unwrap_or(0);
         crate::obs_hooks::step(
@@ -1230,7 +1292,7 @@ impl<'a> SyncSim<'a> {
             steps,
             delivered: self.delivered,
             transmissions: self.transmissions,
-            max_link_traffic: self.link_traffic.iter().copied().max().unwrap_or(0),
+            max_link_traffic: self.max_link_traffic,
             dropped: self.dropped,
             retried: self.retried,
             recovered: self.recovered,
