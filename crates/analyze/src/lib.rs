@@ -34,8 +34,8 @@
 //! * an incremental [`cache`] (content-hash keyed) so the CI deny gate
 //!   only re-analyzes files that actually changed;
 //! * [`report`] rendering: rustc-style text plus a JSON artifact built on
-//!   the shared [`scg_obs::json`] model and re-validated through the same
-//!   parser that checks `results/BENCH_*.json`.
+//!   the shared [`scg_obs::json`] model and re-validated through its
+//!   parser.
 //!
 //! Run it from the workspace root:
 //!

@@ -2,10 +2,9 @@
 //! artifact.
 //!
 //! The JSON report is built on the shared [`scg_obs::json::Json`] model and
-//! serialized with [`Json::encode`], so it round-trips through the same
-//! hand-rolled parser that validates `results/BENCH_*.json` — the
-//! `--validate` mode and the CI gate both re-parse it with
-//! [`scg_obs::json::parse`].
+//! serialized with [`Json::encode`], so it round-trips through the shared
+//! hand-rolled parser: the `--validate` mode and the CI gate both re-parse
+//! it with [`scg_obs::json::parse`].
 
 use std::collections::BTreeMap;
 
@@ -151,8 +150,7 @@ pub fn to_json(analysis: &Analysis) -> Json {
 }
 
 /// Validates a written report: parses via the shared parser and checks the
-/// schema invariants the CI gate relies on (the same contract style as
-/// `check_bench_json`).
+/// schema invariants the CI gate relies on.
 ///
 /// # Errors
 ///

@@ -1,10 +1,11 @@
 //! The paper's figures and theorem-tables as checked artifacts.
 //!
-//! [`tables`] measures every figure and table, renders the text kept in
+//! [`tables`] measures every figure and table, the `tab_embed` and
+//! `tab_chaos` fault sweeps among them, renders the text kept in
 //! `results/<id>.txt`, and checks each claim the table makes; `cargo run
 //! --release -p scg-bench --bin reproduce` rewrites them all. This library
 //! also holds the host rosters and the plain-text table writer shared with
-//! the `tab_chaos`, `tab_embed` and `tab_obs` binaries. Timing lives in one
+//! the `tab_obs` binary, whose text carries wall-time histograms. Timing lives in one
 //! place only: the seeded benchmark package in `src/bin/benchmark/` (see
 //! `BENCHMARK.json` at the repository root).
 

@@ -250,7 +250,8 @@ pub fn mnb_sdc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scg_core::{StarGraph, SuperCayleyGraph, SMALL_NET_CAP};
+    use scg_core::{Generator, StarGraph, SuperCayleyGraph, SMALL_NET_CAP};
+    use scg_perm::Perm;
 
     #[test]
     fn all_port_mnb_on_star_is_near_optimal() {
@@ -296,5 +297,59 @@ mod tests {
         let is5 = SuperCayleyGraph::insertion_selection(5).unwrap();
         let r = mnb_sdc(&is5, SMALL_NET_CAP, &mut SearchBudget::new(50_000_000)).unwrap();
         assert_eq!(r.steps, 119);
+    }
+
+    /// A Hamiltonian word from the identity of `S_5` over (a, b, c) =
+    /// (`T_2`, `T_3`, the super generator): 119 letters, 120 nodes.
+    const HAMILTONIAN_WORD: &str = "bcacbabcbabcacabcbcbcbcbcbabcbacbcacabcbcabacacacbcbacbcbabcbcbacabacbacacbcbcbabcabcacbabcbcbabcabacacbcabcbcacbcacaca";
+
+    /// The node ids (ranks) `word` visits from the identity, with `c` as
+    /// the super generator.
+    fn word_nodes(net: &SuperCayleyGraph, word: &str, c: Generator) -> Vec<NodeId> {
+        assert!(net.generators().contains(&c), "{}", net.name());
+        let mut u = Perm::identity(net.degree_k());
+        let mut nodes = vec![net.node_id(&u).unwrap() as NodeId];
+        for letter in word.chars() {
+            let g = match letter {
+                'a' => Generator::transposition(2),
+                'b' => Generator::transposition(3),
+                _ => c,
+            };
+            u = g.apply(&u).unwrap();
+            nodes.push(net.node_id(&u).unwrap() as NodeId);
+        }
+        nodes
+    }
+
+    /// At l = 2, `R^1` on Complete-RS(2,2) and `S_{2,2}` on MS(2,2) are
+    /// the same permutation, so one word relays on both; swapping its last
+    /// two letters revisits a node and the relay refuses it.
+    #[test]
+    fn hamiltonian_word_relays_on_complete_rs22_and_ms22() {
+        let swapped = {
+            let mut w = HAMILTONIAN_WORD.as_bytes().to_vec();
+            let n = w.len();
+            w.swap(n - 2, n - 1);
+            String::from_utf8(w).unwrap()
+        };
+        assert_eq!(HAMILTONIAN_WORD.len(), 119);
+        for (net, c) in [
+            (
+                SuperCayleyGraph::complete_rotation_star(2, 2).unwrap(),
+                Generator::rotation(2, 1),
+            ),
+            (
+                SuperCayleyGraph::macro_star(2, 2).unwrap(),
+                Generator::swap(2, 2),
+            ),
+        ] {
+            let nodes = word_nodes(&net, HAMILTONIAN_WORD, c);
+            let distinct = |v: &[NodeId]| v.iter().collect::<std::collections::HashSet<_>>().len();
+            assert_eq!(distinct(&nodes), 120, "{}", net.name());
+            verify_sdc_relay(&net, &nodes).unwrap();
+            let bad = word_nodes(&net, &swapped, c);
+            assert_eq!(distinct(&bad), 118, "{}", net.name());
+            assert!(verify_sdc_relay(&net, &bad).is_err(), "{}", net.name());
+        }
     }
 }

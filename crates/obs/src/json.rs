@@ -1,8 +1,8 @@
 //! A minimal hand-rolled JSON model and parser.
 //!
 //! The workspace builds offline — no serde — so the snapshot exporter
-//! ([`Snapshot`](crate::Snapshot)) and the benchmark artifacts
-//! (`results/BENCH_*.json`) share this one parser. It accepts exactly
+//! ([`Snapshot`](crate::Snapshot)) and `scg-analyze`'s report and cache
+//! share this one parser. It accepts exactly
 //! the subset our encoders emit: objects, arrays, strings with
 //! `\"`/`\\`/`\/`/`\n`/`\t`/`\r`/`\uXXXX` escapes, and integers (floats
 //! are rejected by design — every number we export is an exact count or

@@ -76,10 +76,10 @@ fn run() -> Result<(), String> {
     if let Some(addr) = server.tcp_addr() {
         println!("scg-serve: tcp {addr}");
     }
+    let handler = on_signal as extern "C" fn(i32) as usize;
     // SAFETY: `on_signal` only touches an atomic, which is
     // async-signal-safe; the handler address stays valid for the
     // process lifetime.
-    let handler = on_signal as extern "C" fn(i32) as usize;
     unsafe {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);
