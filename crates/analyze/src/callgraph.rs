@@ -40,13 +40,16 @@ use crate::syntax::SyntaxTree;
 /// The entry points SCG008 proves panic-free: `(crate, function)` pairs.
 /// Every function with a matching name in the crate is an entry (both
 /// `parse` free function and `JsonParser::parse` in `scg_obs::json`).
-pub const DEFAULT_ENTRIES: [(&str, &str); 6] = [
+pub const DEFAULT_ENTRIES: [(&str, &str); 9] = [
     ("serve", "decode_request"),
     ("serve", "decode_reply"),
     ("serve", "peek_frame"),
+    ("serve", "route_payload"),
     ("obs", "parse"),
     ("core", "route_into"),
     ("core", "route_packed"),
+    ("core", "pack_labels"),
+    ("core", "star_sort_links"),
 ];
 
 /// Method names that shadow std-prelude/collection methods; `.name(..)`

@@ -75,8 +75,8 @@ pub use routing::{
     bfs_route, bubble_distance, bubble_sort_sequence, rotator_sort_sequence, route_batch,
     route_faulty, scg_route, scg_route_faulty_with, star_diameter, star_dimension_parts,
     star_distance, star_distance_between, star_route, star_sort_sequence, tn_distance,
-    tn_sort_sequence, BatchState, FaultScratch, RouteBuf, RoutePlan, RoutedPath, MAX_FAULT_DEGREE,
-    MIN_PAIRS_PER_THREAD,
+    tn_sort_sequence, BatchState, FaultScratch, PackedPair, RouteBuf, RoutePlan, RoutedPath,
+    MAX_FAULT_DEGREE, MIN_PAIRS_PER_THREAD,
 };
 pub use topology::{
     materialize, route_plan, Materialized, ShardedTopology, TopologyCache, DEFAULT_NET_CAP,

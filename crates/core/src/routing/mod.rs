@@ -14,7 +14,7 @@ mod star_route;
 
 pub use expand::star_dimension_parts;
 pub use fault::{route_faulty, scg_route_faulty_with, FaultScratch, RoutedPath, MAX_FAULT_DEGREE};
-pub use plan::{BatchState, RouteBuf, RoutePlan};
+pub use plan::{BatchState, PackedPair, RouteBuf, RoutePlan};
 pub use sort::{
     bubble_distance, bubble_sort_sequence, rotator_sort_sequence, tn_distance, tn_sort_sequence,
 };

@@ -13,7 +13,11 @@
 //!
 //! The star-sort itself runs on [`PackedPerm`] words: the relative
 //! permutation is one `u64`, moves are nibble swaps, and cycle openings
-//! are mask/ctz selection. Routing a pair therefore needs `k ≤ 16`
+//! are mask/ctz selection. It is one loop, [`RoutePlan::star_sort_links`],
+//! which reports each move's star link to a visitor: the route entry
+//! points expand links into hops, and a caller holding raw wire labels
+//! packs them with [`RoutePlan::pack_labels`] and emits anything per
+//! link. Routing a pair therefore needs `k ≤ 16`
 //! (every shape the paper names); plans still build up to `k = 20`, so
 //! link lookups work there, but routing a pair at `k > 16` is refused
 //! with [`PermError::PackedDegreeOutOfRange`]. Batches go through
@@ -268,13 +272,7 @@ impl RoutePlan {
         for (pos, &sym) in to.symbols().iter().enumerate() {
             inv_to |= (pos as u64) << (4 * (u64::from(sym) - 1));
         }
-        // Identity padding on the lanes `k..16` keeps every packed op
-        // degree-agnostic (`k = 16` fills the whole word).
-        let mut w = if self.k == MAX_PACKED_DEGREE {
-            0
-        } else {
-            PACKED_IDENTITY & !((1u64 << (4 * self.k)) - 1)
-        };
+        let mut w = self.padding();
         for (i, &sym) in from.symbols().iter().enumerate() {
             w |= ((inv_to >> (4 * (u64::from(sym) - 1))) & 0xF) << (4 * i);
         }
@@ -286,6 +284,68 @@ impl RoutePlan {
         w
     }
 
+    /// Identity padding on the lanes `k..16`, which keeps every packed op
+    /// degree-agnostic (`k = 16` fills the whole word).
+    #[inline]
+    fn padding(&self) -> u64 {
+        if self.k == MAX_PACKED_DEGREE {
+            0
+        } else {
+            PACKED_IDENTITY & !((1u64 << (4 * self.k)) - 1)
+        }
+    }
+
+    /// Packs two raw 1-based labels — the symbol bytes of a wire `ROUTE`
+    /// frame — into the relative word `to⁻¹ ∘ from`, validating as it
+    /// packs. It accepts exactly the labels that [`Perm::from_symbols`]
+    /// accepts at this network's degree, so a caller holding only frame
+    /// bytes can route without building a [`Perm`].
+    ///
+    /// # Errors
+    ///
+    /// In [`route_into`](RoutePlan::route_into)'s order:
+    ///
+    /// * [`CoreError::Perm`] with [`PermError::PackedDegreeOutOfRange`] —
+    ///   the network has `k > 16`;
+    /// * [`CoreError::DegreeMismatch`] — a label's length differs from the
+    ///   network's degree (`from` checked first);
+    /// * [`CoreError::Perm`] with [`PermError::NotAPermutation`] — a symbol
+    ///   is zero, above `k`, or repeated.
+    pub fn pack_labels(&self, from: &[u8], to: &[u8]) -> Result<PackedPair, CoreError> {
+        self.check_packed_degree()?;
+        for label in [from, to] {
+            if label.len() != self.k {
+                return Err(CoreError::DegreeMismatch {
+                    expected: self.k,
+                    found: label.len(),
+                });
+            }
+        }
+        let mut inv_to = 0u64;
+        let mut seen = 0u32;
+        for (pos, &sym) in to.iter().enumerate() {
+            inv_to |= (pos as u64) << self.lane_of(sym, &mut seen)?;
+        }
+        let mut w = self.padding();
+        let mut seen = 0u32;
+        for (i, &sym) in from.iter().enumerate() {
+            w |= ((inv_to >> self.lane_of(sym, &mut seen)?) & 0xF) << (4 * i);
+        }
+        Ok(PackedPair(w))
+    }
+
+    /// The nibble shift of the 1-based symbol `sym`, refusing zero,
+    /// symbols above `k`, and symbols already marked in `seen`.
+    #[inline]
+    fn lane_of(&self, sym: u8, seen: &mut u32) -> Result<u32, CoreError> {
+        let bit = 1u32 << (sym & 0x1F);
+        if sym == 0 || usize::from(sym) > self.k || *seen & bit != 0 {
+            return Err(PermError::NotAPermutation { symbol: sym }.into());
+        }
+        *seen |= bit;
+        Ok(4 * (u32::from(sym) - 1))
+    }
+
     /// The unfused `pack_pair` — the kernel-op composition the fused
     /// version must match; referenced only by its debug assertion.
     fn pack_pair_reference(from: &Perm, to: &Perm) -> Option<u64> {
@@ -294,11 +354,15 @@ impl RoutePlan {
         Some(t.inverse().compose(f).word())
     }
 
-    /// The greedy star-sort over one packed relative permutation `w`
-    /// (`to⁻¹ ∘ from`, 0-based nibbles): emits the expansion of
-    /// [`star_route`](crate::star_route)'s optimal route, but each move
-    /// is a branch-free nibble swap and the cycle-opening choice is
-    /// `trailing_zeros` over a dirty-lane mask.
+    /// The greedy star-sort over one relative word as a visitor: calls
+    /// `emit(j)` once per move, in route order, with the star link `T_j`
+    /// (`2 ≤ j ≤ k`) that move takes. The moves are
+    /// [`star_route`](crate::star_route)'s optimal route, but each one is
+    /// a branch-free nibble swap and the cycle-opening choice is
+    /// `trailing_zeros` over a dirty-lane mask. Expanding each `T_j`
+    /// through [`star_link`](RoutePlan::star_link) gives
+    /// [`route_into`](RoutePlan::route_into)'s hops; a caller may emit
+    /// anything else per link instead, such as pre-encoded reply bytes.
     ///
     /// `mask` carries one bit per dirty lane, at the lane's low bit
     /// (`4p` for position `p+1`), built by word-parallel nonzero-nibble
@@ -307,9 +371,11 @@ impl RoutePlan {
     /// homes it at lane `i = s`, so exactly that bit clears — sorted
     /// lanes never go dirty again, so the lowest dirty lane is always
     /// the first unsorted position.
-    pub(crate) fn route_packed(&self, mut w: u64, buf: &mut RouteBuf) {
+    #[inline]
+    pub fn star_sort_links(&self, pair: PackedPair, mut emit: impl FnMut(usize)) {
         /// The low bit of every 4-bit lane.
         const LANE_LSB: u64 = 0x1111_1111_1111_1111;
+        let mut w = pair.0;
         let diff = w ^ PACKED_IDENTITY;
         // Fold each nibble's four bits onto its low bit, then drop lane 0
         // (the front is tracked by `s`, not the mask).
@@ -323,12 +389,21 @@ impl RoutePlan {
             } else {
                 return; // identity reached
             };
-            buf.hops.extend_from_slice(self.star_link_unchecked(i + 1));
+            emit(i + 1);
             let sh = 4 * i;
             let x = ((w >> sh) ^ w) & 0xF;
             w ^= (x << sh) | x;
             mask &= !(u64::from(s != 0) << sh);
         }
+    }
+
+    /// The star-sort of one packed relative permutation `w` (`to⁻¹ ∘
+    /// from`, 0-based nibbles, identity-padded), each link expanded into
+    /// `buf`.
+    pub(crate) fn route_packed(&self, w: u64, buf: &mut RouteBuf) {
+        self.star_sort_links(PackedPair(w), |j| {
+            buf.hops.extend_from_slice(self.star_link_unchecked(j));
+        });
     }
 
     /// A reusable [`BatchState`] for [`route_chunk`](RoutePlan::route_chunk)
@@ -395,6 +470,14 @@ impl RoutePlan {
         Ok(buf.into_hops())
     }
 }
+
+/// The relative permutation `to⁻¹ ∘ from` of one pair as a packed word:
+/// the whole per-pair state of [`RoutePlan::star_sort_links`]. Outside
+/// this crate only [`RoutePlan::pack_labels`] makes one, so every word
+/// the visitor sees is a permutation and its loop ends; visit it with
+/// the plan that packed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedPair(u64);
 
 /// A reusable route buffer for [`RoutePlan::route_into`].
 ///
@@ -579,6 +662,59 @@ mod tests {
         assert!(matches!(
             plan.route_into(&bad, &Perm::identity(5), &mut buf),
             Err(CoreError::DegreeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn pack_labels_matches_route_into_and_refuses_what_it_refuses() {
+        let net = SuperCayleyGraph::macro_star(3, 2).unwrap();
+        let plan = RoutePlan::build(&net).unwrap();
+        let mut rng = XorShift64::new(47);
+        let mut buf = plan.new_buf();
+        for _ in 0..50 {
+            let from = Perm::random(7, &mut rng);
+            let to = Perm::random(7, &mut rng);
+            let pair = plan.pack_labels(from.symbols(), to.symbols()).unwrap();
+            assert_eq!(pair, PackedPair(plan.pack_pair(&from, &to)));
+            let mut visited = Vec::new();
+            plan.star_sort_links(pair, |j| {
+                visited.extend_from_slice(plan.star_link(j).unwrap())
+            });
+            plan.route_into(&from, &to, &mut buf).unwrap();
+            assert_eq!(visited, buf.hops());
+        }
+        let id = [1, 2, 3, 4, 5, 6, 7];
+        for bad in [
+            &[0, 2, 3, 4, 5, 6, 7][..],
+            &[1, 2, 3, 4, 5, 6, 8],
+            &[1, 2, 3, 4, 5, 6, 200],
+            &[1, 2, 3, 4, 5, 2, 7],
+        ] {
+            for (from, to) in [(bad, &id[..]), (&id[..], bad)] {
+                assert!(matches!(
+                    plan.pack_labels(from, to),
+                    Err(CoreError::Perm(PermError::NotAPermutation { .. }))
+                ));
+                assert!(Perm::from_symbols(bad).is_err());
+            }
+        }
+        for (from, to) in [
+            (&id[..6], &id[..]),
+            (&id[..], &id[..6]),
+            (&id[..6], &id[..6]),
+        ] {
+            assert!(matches!(
+                plan.pack_labels(from, to),
+                Err(CoreError::DegreeMismatch { expected: 7, .. })
+            ));
+        }
+        let is17 = RoutePlan::build(&SuperCayleyGraph::insertion_selection(17).unwrap()).unwrap();
+        let id17 = Perm::identity(17);
+        assert!(matches!(
+            is17.pack_labels(id17.symbols(), id17.symbols()),
+            Err(CoreError::Perm(PermError::PackedDegreeOutOfRange {
+                degree: 17
+            }))
         ));
     }
 

@@ -2,6 +2,16 @@
 //! *bounded* write queue with backpressure, and the interest-bit logic
 //! that ties the two to epoll.
 //!
+//! Frames are consumed from the front of the read buffer by advancing an
+//! offset, not by shifting bytes; the buffer resets when it empties and
+//! compacts only when a read needs the room. Replies are appended straight
+//! to the write queue ([`Connection::frame_io`]). A steady-state wake
+//! therefore costs one `read`, one `write` and no allocation:
+//! [`Connection::fill`] stops at the first short read, and the caller
+//! re-arms epoll only when [`Connection::interest_change`] reports new
+//! bits. Epoll is level-triggered, so bytes or an EOF left in the kernel
+//! after a short read come back on the next wake.
+//!
 //! Backpressure contract: a connection never buffers unboundedly. When a
 //! peer stops draining replies and the write queue climbs past
 //! [`HIGH_WATER`], the shard drops `EPOLLIN` interest — the server stops
@@ -16,11 +26,19 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 
 use crate::epoll::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::wire::{HEADER_LEN, MAX_FRAME_LEN};
 
 /// Stop reading a connection whose write queue exceeds this many bytes.
 pub const HIGH_WATER: usize = 256 * 1024;
 /// Resume reading once the write queue drains below this many bytes.
 pub const LOW_WATER: usize = 64 * 1024;
+
+/// The read buffer's starting size, and so the most one `read` takes
+/// while the buffer is small.
+const READ_CHUNK: usize = 16 * 1024;
+/// The read buffer doubles up to this size, twice the largest frame, so
+/// a full buffer always holds a whole frame for the parser to consume.
+const READ_CAP: usize = 2 * (HEADER_LEN + MAX_FRAME_LEN as usize);
 
 /// Either transport, unified behind `Read`/`Write`/`AsRawFd`.
 #[derive(Debug)]
@@ -78,8 +96,11 @@ pub struct ReadOutcome {
 #[derive(Debug)]
 pub struct Connection {
     stream: Stream,
-    /// Unparsed inbound bytes; frames are consumed from the front.
-    pub read_buf: Vec<u8>,
+    /// Inbound bytes: `read_buf[read_pos..read_end]` is unparsed. The
+    /// vector is fully initialized, so reads land in it directly.
+    read_buf: Vec<u8>,
+    read_pos: usize,
+    read_end: usize,
     /// Outbound bytes not yet accepted by the kernel. `write_pos` marks
     /// the flushed prefix; the buffer compacts opportunistically instead
     /// of shifting on every write.
@@ -95,22 +116,29 @@ pub struct Connection {
     /// Throttle latch: set at [`HIGH_WATER`], cleared below [`LOW_WATER`]
     /// (hysteresis, so interest bits do not flap at the boundary).
     latched: bool,
+    /// The interest bits epoll last armed for this connection.
+    armed: u32,
 }
 
 impl Connection {
     /// Wraps an accepted nonblocking stream.
     #[must_use]
     pub fn new(stream: Stream) -> Connection {
-        Connection {
+        let mut conn = Connection {
             stream,
-            read_buf: Vec::with_capacity(4096),
+            read_buf: vec![0; READ_CHUNK],
+            read_pos: 0,
+            read_end: 0,
             write_buf: Vec::with_capacity(4096),
             write_pos: 0,
             close_after_flush: false,
             http: false,
             peak_queue: 0,
             latched: false,
-        }
+            armed: 0,
+        };
+        conn.armed = conn.interest();
+        conn
     }
 
     /// The raw fd, for epoll registration.
@@ -167,8 +195,23 @@ impl Connection {
         bits
     }
 
-    /// Reads until the kernel has no more bytes (or the queue throttles
-    /// the connection), appending to `read_buf`.
+    /// The new interest bits when they differ from what epoll last
+    /// armed (and records them as armed), else `None`: the caller issues
+    /// `epoll_ctl` only on a change.
+    pub fn interest_change(&mut self) -> Option<u32> {
+        let bits = self.interest();
+        if bits == self.armed {
+            return None;
+        }
+        self.armed = bits;
+        Some(bits)
+    }
+
+    /// Reads what the kernel holds into the read buffer, ending at the
+    /// first short read (the socket is drained), at `WouldBlock`, at EOF,
+    /// or when the queue throttles the connection. A read that fills the
+    /// buffer makes room and reads again, until the buffer holds
+    /// `READ_CAP` unparsed bytes.
     ///
     /// # Errors
     ///
@@ -179,19 +222,24 @@ impl Connection {
             bytes: 0,
             eof: false,
         };
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             if self.throttled() {
                 break; // stop consuming; interest() already drops EPOLLIN
             }
-            match self.stream.read(&mut chunk) {
+            if self.read_end == self.read_buf.len() && !self.make_room() {
+                break; // a whole frame is buffered; parse before reading on
+            }
+            match self.stream.read(&mut self.read_buf[self.read_end..]) {
                 Ok(0) => {
                     outcome.eof = true;
                     break;
                 }
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    self.read_end += n;
                     outcome.bytes += n;
+                    if self.read_end < self.read_buf.len() {
+                        break; // short read: nothing more is waiting
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -201,9 +249,52 @@ impl Connection {
         Ok(outcome)
     }
 
-    /// Consumes `n` parsed bytes from the front of the read buffer.
+    /// Frees space after the unparsed bytes of a full buffer: moves them
+    /// to the front, or doubles the buffer up to `READ_CAP`. Returns
+    /// `false` when the buffer is at its cap and all unparsed.
+    fn make_room(&mut self) -> bool {
+        if self.read_pos > 0 {
+            self.read_buf.copy_within(self.read_pos..self.read_end, 0);
+            self.read_end -= self.read_pos;
+            self.read_pos = 0;
+            return true;
+        }
+        if self.read_buf.len() >= READ_CAP {
+            return false;
+        }
+        let len = (2 * self.read_buf.len()).min(READ_CAP);
+        self.read_buf.resize(len, 0);
+        true
+    }
+
+    /// The inbound bytes not yet consumed.
+    #[must_use]
+    pub fn unparsed(&self) -> &[u8] {
+        &self.read_buf[self.read_pos..self.read_end]
+    }
+
+    /// Consumes `n` parsed bytes from the front of the unparsed bytes.
     pub fn consume(&mut self, n: usize) {
-        self.read_buf.drain(..n);
+        self.read_pos = (self.read_pos + n).min(self.read_end);
+        if self.read_pos == self.read_end {
+            self.read_pos = 0;
+            self.read_end = 0;
+        }
+    }
+
+    /// The unparsed bytes and the write queue at once, so a frame is
+    /// answered straight from the one into the other. Call
+    /// [`Connection::note_queued`] after appending.
+    pub fn frame_io(&mut self) -> (&[u8], &mut Vec<u8>) {
+        (
+            &self.read_buf[self.read_pos..self.read_end],
+            &mut self.write_buf,
+        )
+    }
+
+    /// Records the queue depth after replies were appended.
+    pub fn note_queued(&mut self) {
+        self.peak_queue = self.peak_queue.max(self.queued());
     }
 
     /// Queues reply bytes (bounded by the backpressure contract: callers
@@ -211,7 +302,7 @@ impl Connection {
     /// because the shard stops reading requests).
     pub fn queue(&mut self, bytes: &[u8]) {
         self.write_buf.extend_from_slice(bytes);
-        self.peak_queue = self.peak_queue.max(self.queued());
+        self.note_queued();
     }
 
     /// Writes queued bytes until the kernel stops accepting them.
@@ -261,11 +352,34 @@ mod tests {
         let out = conn.fill().unwrap();
         assert_eq!(out.bytes, 12);
         assert!(!out.eof);
-        assert_eq!(conn.read_buf, b"hello frames");
+        assert_eq!(conn.unparsed(), b"hello frames");
         conn.consume(6);
-        assert_eq!(conn.read_buf, b"frames");
+        assert_eq!(conn.unparsed(), b"frames");
         drop(peer);
         assert!(conn.fill().unwrap().eof);
+    }
+
+    #[test]
+    fn fill_compacts_and_grows_the_read_buffer() {
+        let (mut conn, mut peer) = pair();
+        let sent: Vec<u8> = (0..3 * READ_CHUNK).map(|i| (i % 251) as u8).collect();
+        let first = READ_CHUNK - 1000;
+        peer.write_all(&sent[..first]).unwrap();
+        assert_eq!(conn.fill().unwrap().bytes, first);
+        conn.consume(first - 10);
+        // The next read fills the buffer's last 1000 bytes, so fill moves
+        // the 10 unparsed bytes plus those to the front and reads on.
+        let second = first + 5000;
+        peer.write_all(&sent[first..second]).unwrap();
+        assert_eq!(conn.fill().unwrap().bytes, 5000);
+        assert_eq!(conn.unparsed(), &sent[first - 10..second]);
+        // Unconsumed bytes beyond the buffer's size grow it.
+        peer.write_all(&sent[second..]).unwrap();
+        assert_eq!(conn.fill().unwrap().bytes, sent.len() - second);
+        assert_eq!(conn.unparsed(), &sent[first - 10..]);
+        assert!(conn.interest_change().is_none(), "interest bits unchanged");
+        conn.consume(conn.unparsed().len());
+        assert!(conn.unparsed().is_empty());
     }
 
     #[test]
@@ -273,8 +387,11 @@ mod tests {
         let (mut conn, _peer) = pair();
         assert_eq!(conn.interest() & EPOLLIN, EPOLLIN);
         assert_eq!(conn.interest() & EPOLLOUT, 0);
+        assert_eq!(conn.interest_change(), None, "armed at creation");
         conn.queue(&[0u8; 10]);
         assert_eq!(conn.interest() & EPOLLOUT, EPOLLOUT);
+        assert_eq!(conn.interest_change(), Some(conn.interest()));
+        assert_eq!(conn.interest_change(), None, "re-armed only on a change");
         let big = vec![0u8; HIGH_WATER];
         conn.queue(&big);
         assert!(conn.throttled());

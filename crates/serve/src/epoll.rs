@@ -30,7 +30,7 @@ const EPOLL_CTL_MOD: i32 = 3;
 /// Linux targets keep natural alignment — matching glibc's declaration.
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct EpollEvent {
     events: u32,
     data: u64,
@@ -87,6 +87,8 @@ impl Readiness {
 #[derive(Debug)]
 pub struct Poller {
     epfd: RawFd,
+    /// The kernel's record buffer, allocated once.
+    records: Box<[EpollEvent]>,
     ready: Vec<Readiness>,
 }
 
@@ -103,6 +105,7 @@ impl Poller {
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
             epfd,
+            records: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS].into_boxed_slice(),
             ready: Vec::with_capacity(MAX_EVENTS),
         })
     }
@@ -154,11 +157,26 @@ impl Poller {
     ///
     /// The raw `epoll_wait` error; `EINTR` is retried internally.
     pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Readiness]> {
-        let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let mut ready = std::mem::take(&mut self.ready);
+        let waited = self.wait_into(timeout_ms, &mut ready);
+        self.ready = ready;
+        waited?;
+        Ok(&self.ready)
+    }
+
+    /// [`Poller::wait`] into a caller-owned buffer (cleared first), so an
+    /// event loop can keep using the poller while it walks the ready set
+    /// and reuse one buffer for every wake.
+    ///
+    /// # Errors
+    ///
+    /// As [`Poller::wait`].
+    pub fn wait_into(&mut self, timeout_ms: i32, ready: &mut Vec<Readiness>) -> io::Result<()> {
+        ready.clear();
         let cap = MAX_EVENTS as i32;
         let n = loop {
-            // SAFETY: `buf` holds MAX_EVENTS records and outlives the call.
-            let r = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), cap, timeout_ms) };
+            // SAFETY: `records` holds MAX_EVENTS records and outlives the call.
+            let r = unsafe { epoll_wait(self.epfd, self.records.as_mut_ptr(), cap, timeout_ms) };
             if r >= 0 {
                 break r as usize;
             }
@@ -167,16 +185,15 @@ impl Poller {
                 return Err(err);
             }
         };
-        self.ready.clear();
-        for ev in &buf[..n] {
+        for ev in &self.records[..n] {
             // Copy out of the (possibly packed) kernel record.
             let (events, data) = (ev.events, ev.data);
-            self.ready.push(Readiness {
+            ready.push(Readiness {
                 token: data,
                 events,
             });
         }
-        Ok(&self.ready)
+        Ok(())
     }
 }
 

@@ -239,11 +239,13 @@ fn accept_loop(
         }
     }
     let mut rr = 0usize;
+    let mut events = Vec::new();
     // ord: SeqCst — cold flag, checked at most ten times a second.
     while !stop.load(Ordering::SeqCst) {
-        let Ok(events) = poller.wait(100) else { break };
-        let events: Vec<Readiness> = events.to_vec();
-        for ev in events {
+        if poller.wait_into(100, &mut events).is_err() {
+            break;
+        }
+        for ev in &events {
             match ev.token {
                 TOKEN_UDS => {
                     // Accept until WouldBlock (or a racing close) errors out.
@@ -289,10 +291,12 @@ fn shard_loop(
         return;
     }
     let mut conns: HashMap<u64, Connection> = HashMap::new();
+    let mut events: Vec<Readiness> = Vec::new();
     // ord: SeqCst — cold flag, checked at most ten times a second.
     while !stop.load(Ordering::SeqCst) {
-        let Ok(events) = poller.wait(100) else { break };
-        let events: Vec<Readiness> = events.to_vec();
+        if poller.wait_into(100, &mut events).is_err() {
+            break;
+        }
         // Drain the wake pipe (its only job is ending the epoll_wait).
         if events.iter().any(|e| e.token == TOKEN_WAKE) {
             let mut sink = [0u8; 64];
@@ -317,7 +321,7 @@ fn shard_loop(
         }
         // Converge on faults reported through other shards.
         core.sync_faults();
-        for ev in events {
+        for &ev in &events {
             if ev.token == TOKEN_WAKE {
                 continue;
             }
@@ -347,9 +351,8 @@ fn shard_loop(
                 poller.remove(fd);
                 conns.remove(&ev.token);
                 metrics.open_conns.add(-1);
-            } else {
-                let (fd, interest) = (conn.fd(), conn.interest());
-                if poller.modify(fd, ev.token, interest).is_err() {
+            } else if let Some(interest) = conn.interest_change() {
+                if poller.modify(conn.fd(), ev.token, interest).is_err() {
                     conns.remove(&ev.token);
                     metrics.open_conns.add(-1);
                 }
@@ -396,7 +399,7 @@ fn service(
         // bad-length states were already answered by process_read_buf,
         // and NeedMore (including partial HTTP headers) waits for bytes.
         if conn.close_after_flush
-            || !matches!(peek_frame(&conn.read_buf), FrameStatus::Frame { .. })
+            || !matches!(peek_frame(conn.unparsed()), FrameStatus::Frame { .. })
         {
             return true;
         }
@@ -404,7 +407,7 @@ fn service(
 }
 
 /// Consumes complete frames (or a complete HTTP request) from the front
-/// of the read buffer, queueing replies.
+/// of the read buffer, appending replies to the write queue.
 fn process_read_buf(
     conn: &mut Connection,
     core: &mut ShardCore,
@@ -415,7 +418,7 @@ fn process_read_buf(
         if conn.throttled() || conn.close_after_flush {
             break;
         }
-        match peek_frame(&conn.read_buf) {
+        match peek_frame(conn.unparsed()) {
             FrameStatus::NeedMore => break,
             FrameStatus::Http => {
                 handle_http(conn, metrics);
@@ -430,10 +433,10 @@ fn process_read_buf(
                     ErrCode::Malformed
                 };
                 metrics.inc_error(code);
-                let mut reply = Vec::new();
-                wire::encode_error_into(&mut reply, code, "unrecoverable frame length");
-                conn.queue(&reply);
-                conn.read_buf.clear();
+                let (_, out) = conn.frame_io();
+                wire::encode_error_into(out, code, "unrecoverable frame length");
+                conn.note_queued();
+                conn.consume(conn.unparsed().len());
                 conn.close_after_flush = true;
                 break;
             }
@@ -443,10 +446,10 @@ fn process_read_buf(
                 start,
                 end,
             } => {
-                let mut reply = Vec::new();
-                let fx = core.handle_frame(ver, ftype, &conn.read_buf[start..end], &mut reply);
+                let (unparsed, out) = conn.frame_io();
+                let fx = core.handle_frame(ver, ftype, &unparsed[start..end], out);
                 agg.journal_grew |= fx.journal_grew;
-                conn.queue(&reply);
+                conn.note_queued();
                 conn.consume(end);
             }
         }
@@ -459,15 +462,15 @@ fn process_read_buf(
 /// then close.
 fn handle_http(conn: &mut Connection, metrics: &Arc<ServeMetrics>) {
     conn.http = true;
-    let Some(head_end) = find_crlf_crlf(&conn.read_buf) else {
-        if conn.read_buf.len() > 16 * 1024 {
-            conn.read_buf.clear();
+    let Some(head_end) = find_crlf_crlf(conn.unparsed()) else {
+        if conn.unparsed().len() > 16 * 1024 {
+            conn.consume(conn.unparsed().len());
             conn.close_after_flush = true;
         }
         return; // headers still arriving
     };
     metrics.req_http.inc();
-    let head = String::from_utf8_lossy(&conn.read_buf[..head_end]).into_owned();
+    let head = String::from_utf8_lossy(&conn.unparsed()[..head_end]).into_owned();
     conn.consume(head_end + 4);
     let path = head.split_whitespace().nth(1).unwrap_or("/");
     let (status, body) = match path {

@@ -8,6 +8,17 @@
 //! coordinate except on *fault* events, which are rare and flow through
 //! the append-only [`FaultJournal`] (an atomic length check per loop
 //! iteration; the mutex is locked only when the journal actually grew).
+//!
+//! A `ROUTE` frame on a network the shard already holds, fault-free, goes
+//! from frame bytes to reply bytes: [`route_payload`] frames the payload
+//! in place, [`RoutePlan::pack_labels`] validates and packs the two
+//! labels into one relative word, and [`RoutePlan::star_sort_links`]
+//! visits the star-sort's moves, each copying one star link's expansion
+//! pre-encoded per network. No `Perm`, hop vector or allocation is made.
+//! Everything else — a network's first frame, a network holding faults
+//! (detours and the survivor fallback of [`route_faulty`]), any malformed
+//! frame or error — takes the decoded path ([`decode_request`]), whose
+//! clean branch writes the same bytes through the same packer and visitor.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -16,15 +27,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use scg_core::{
-    route_faulty, CoreError, FaultScratch, Generator, RoutePlan, TopologyCache, MAX_FAULT_DEGREE,
+    route_faulty, CoreError, FaultScratch, Generator, PackedPair, RoutePlan, TopologyCache,
+    MAX_FAULT_DEGREE,
 };
 use scg_graph::{ChaosEvent, FaultSet};
 use scg_perm::{factorial, Perm};
 
 use crate::metrics::ServeMetrics;
 use crate::wire::{
-    begin_frame, decode_request, encode_error_into, end_frame, ErrCode, FrameType, NetId, Request,
-    FLAG_DETOURED, FLAG_FALLBACK,
+    begin_frame, decode_request, encode_error_into, end_frame, route_payload, ErrCode, FrameType,
+    NetId, Request, FLAG_DETOURED, FLAG_FALLBACK, WIRE_VERSION,
 };
 
 /// The cross-shard fault log: every `FAULT_REPORT` is appended here so
@@ -112,6 +124,31 @@ struct NetState {
     /// Reusable per-pair hop buffers for batch routing (capacity
     /// persists across frames).
     batch_out: Vec<Vec<Generator>>,
+    /// Every star link's expansion pre-encoded as reply hop bytes: `T_j`
+    /// spans `star_wire[star_wire_at[j - 2]..star_wire_at[j - 1]]`.
+    star_wire: Vec<u8>,
+    star_wire_at: Vec<usize>,
+}
+
+impl NetState {
+    /// Appends the `ROUTE_OK` frame of a clean route: each move of the
+    /// star-sort copies its link's pre-encoded bytes, then the hop count
+    /// is patched in. Returns the hop count.
+    fn write_clean_route(&self, pair: PackedPair, out: &mut Vec<u8>) -> usize {
+        let at = begin_frame(out, FrameType::RouteOk);
+        out.push(0); // flags: clean path
+        let count_at = out.len();
+        out.extend_from_slice(&[0, 0]);
+        self.plan.star_sort_links(pair, |j| {
+            out.extend_from_slice(
+                &self.star_wire[self.star_wire_at[j - 2]..self.star_wire_at[j - 1]],
+            );
+        });
+        let hops = (out.len() - count_at - 2) / 3;
+        out[count_at..count_at + 2].copy_from_slice(&(hops as u16).to_le_bytes());
+        end_frame(out, at);
+        hops
+    }
 }
 
 /// What handling one frame asks of the event loop.
@@ -131,6 +168,10 @@ pub struct ShardCore {
     metrics: Arc<ServeMetrics>,
     journal: Arc<FaultJournal>,
     seen: usize,
+    /// The `obs` mirror of `req_route`, resolved on the first ROUTE so the
+    /// clean path does no registry lookup.
+    #[cfg(feature = "obs")]
+    route_mirror: std::cell::OnceCell<Arc<scg_obs::Counter>>,
 }
 
 impl ShardCore {
@@ -143,6 +184,8 @@ impl ShardCore {
             metrics,
             journal,
             seen: 0,
+            #[cfg(feature = "obs")]
+            route_mirror: std::cell::OnceCell::new(),
         }
     }
 
@@ -165,6 +208,11 @@ impl ShardCore {
 
     /// Handles one well-framed request (header already validated by
     /// [`crate::wire::peek_frame`]), appending reply frames to `out`.
+    ///
+    /// A `ROUTE` frame on a resolved, fault-free network whose labels
+    /// pack is answered from frame bytes to reply bytes; anything else
+    /// (first sight of a network, faults, any error) takes the decoded
+    /// path, which gives the same bytes and counters.
     pub fn handle_frame(
         &mut self,
         ver: u8,
@@ -173,6 +221,10 @@ impl ShardCore {
         out: &mut Vec<u8>,
     ) -> FrameEffects {
         let started = Instant::now();
+        if ver == WIRE_VERSION && ftype == FrameType::Route as u8 && self.route_wire(payload, out) {
+            self.metrics.route_micros.observe(elapsed_micros(&started));
+            return FrameEffects::default();
+        }
         let req = match decode_request(ver, ftype, payload) {
             Ok(req) => req,
             Err(code) => {
@@ -183,9 +235,7 @@ impl ShardCore {
         };
         match req {
             Request::Route { net, from, to } => {
-                self.metrics.req_route.inc();
-                #[cfg(feature = "obs")]
-                mirror_request("route");
+                self.count_route_request();
                 self.handle_route(net, &from, &to, out);
                 self.metrics.route_micros.observe(elapsed_micros(&started));
                 FrameEffects::default()
@@ -218,24 +268,46 @@ impl ShardCore {
         }
     }
 
+    fn count_route_request(&self) {
+        self.metrics.req_route.inc();
+        #[cfg(feature = "obs")]
+        self.route_mirror
+            .get_or_init(|| {
+                scg_obs::Registry::global()
+                    .counter("scg_serve_requests_total", &[("kind", "route")])
+            })
+            .inc();
+    }
+
+    /// The wire-to-wire ROUTE: answers and returns `true` when the
+    /// payload frames, names a network this shard already holds without
+    /// faults, and carries labels that pack at its degree. Otherwise
+    /// touches nothing and returns `false`.
+    fn route_wire(&self, payload: &[u8], out: &mut Vec<u8>) -> bool {
+        let Ok(req) = route_payload(payload) else {
+            return false;
+        };
+        let Some(state) = self.nets.get(&req.net) else {
+            return false;
+        };
+        if !state.faults.is_empty() {
+            return false;
+        }
+        let Ok(pair) = state.plan.pack_labels(req.from, req.to) else {
+            return false;
+        };
+        self.count_route_request();
+        let hops = state.write_clean_route(pair, out);
+        self.metrics.routes.inc();
+        self.metrics.hops.observe(hops as u64);
+        true
+    }
+
     fn handle_route(&mut self, net_id: NetId, from: &Perm, to: &Perm, out: &mut Vec<u8>) {
-        match self.route_one(net_id, from, to) {
-            Ok((flags, hops)) => {
+        match self.route_one(net_id, from, to, out) {
+            Ok(hops) => {
                 self.metrics.routes.inc();
-                self.metrics.hops.observe(hops.len() as u64);
-                if flags & FLAG_DETOURED != 0 {
-                    self.metrics.detoured.inc();
-                }
-                if flags & FLAG_FALLBACK != 0 {
-                    self.metrics.fallback.inc();
-                }
-                let at = begin_frame(out, FrameType::RouteOk);
-                out.push(flags);
-                out.extend_from_slice(&(hops.len() as u16).to_le_bytes());
-                for &g in &hops {
-                    push_generator(out, g);
-                }
-                end_frame(out, at);
+                self.metrics.hops.observe(hops as u64);
             }
             Err(code) => {
                 if code == ErrCode::NoRoute {
@@ -247,32 +319,42 @@ impl ShardCore {
         }
     }
 
-    /// Routes one pair, degraded-aware. Returns `(flags, hops)`.
+    /// Routes one pair, degraded-aware, appending its `ROUTE_OK` frame.
+    /// Returns the hop count.
     fn route_one(
         &mut self,
         net_id: NetId,
         from: &Perm,
         to: &Perm,
-    ) -> Result<(u8, Vec<Generator>), ErrCode> {
+        out: &mut Vec<u8>,
+    ) -> Result<usize, ErrCode> {
         let state = resolve_in(&mut self.nets, &self.cache, &self.journal, net_id)?;
         if state.faults.is_empty() {
-            let mut buf = state.plan.new_buf();
-            state
+            let pair = state
                 .plan
-                .route_into(from, to, &mut buf)
+                .pack_labels(from.symbols(), to.symbols())
                 .map_err(map_core_err)?;
-            return Ok((0, buf.into_hops()));
+            return Ok(state.write_clean_route(pair, out));
         }
         let routed = route_faulty(&state.plan, &state.faults, from, to, &mut state.scratch)
             .map_err(map_core_err)?;
         let mut flags = 0u8;
         if routed.detours > 0 {
             flags |= FLAG_DETOURED;
+            self.metrics.detoured.inc();
         }
         if routed.fallback_used {
             flags |= FLAG_FALLBACK;
+            self.metrics.fallback.inc();
         }
-        Ok((flags, routed.hops))
+        let at = begin_frame(out, FrameType::RouteOk);
+        out.push(flags);
+        out.extend_from_slice(&(routed.hops.len() as u16).to_le_bytes());
+        for &g in &routed.hops {
+            push_generator(out, g);
+        }
+        end_frame(out, at);
+        Ok(routed.hops.len())
     }
 
     fn handle_batch(&mut self, net_id: NetId, pairs: &[(Perm, Perm)], out: &mut Vec<u8>) {
@@ -473,11 +555,21 @@ fn resolve_in<'a>(
                     ev.apply(&mut faults);
                 }
             }
+            let mut star_wire = Vec::new();
+            let mut star_wire_at = vec![0];
+            for j in 2..=plan.degree_k() {
+                for &g in plan.star_link(j).map_err(|_| ErrCode::BadNetwork)? {
+                    push_generator(&mut star_wire, g);
+                }
+                star_wire_at.push(star_wire.len());
+            }
             Ok(e.insert(NetState {
                 plan,
                 faults,
                 scratch: FaultScratch::new(),
                 batch_out: Vec::new(),
+                star_wire,
+                star_wire_at,
             }))
         }
     }
@@ -625,6 +717,26 @@ mod tests {
             }
             other => panic!("expected RouteBatchOk, got {other:?}"),
         }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn clean_routes_mirror_into_the_global_registry() {
+        let global =
+            scg_obs::Registry::global().counter("scg_serve_requests_total", &[("kind", "route")]);
+        let before = global.get();
+        let mut core = shard();
+        // The first route resolves the network on the decoded path; the
+        // other 19 are answered wire to wire, and must be mirrored too.
+        for _ in 0..20 {
+            let req = Request::Route {
+                net: ms22(),
+                from: Perm::identity(5),
+                to: Perm::from_rank(5, 77).expect("rank in range"),
+            };
+            assert!(matches!(exchange(&mut core, &req), Reply::RouteOk { .. }));
+        }
+        assert!(global.get() - before >= 20);
     }
 
     #[test]

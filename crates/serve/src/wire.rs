@@ -263,6 +263,40 @@ pub enum Request {
     },
 }
 
+/// A `ROUTE` payload framed but not decoded: the network descriptor and
+/// the two labels' symbol bytes, borrowed from the frame. It frames
+/// exactly as [`decode_request`] does (which builds its `Route` from
+/// one), but checks no symbol: a caller that routes from the bytes
+/// validates them while packing them
+/// (`scg_core::RoutePlan::pack_labels`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoutePayload<'a> {
+    /// Target network.
+    pub net: NetId,
+    /// Source label: `k` 1-based symbols, unchecked.
+    pub from: &'a [u8],
+    /// Destination label: `k` 1-based symbols, unchecked.
+    pub to: &'a [u8],
+}
+
+/// Frames a `ROUTE` payload: net descriptor, then `from` and `to` as
+/// length-prefixed symbol runs, then nothing.
+///
+/// # Errors
+///
+/// [`ErrCode::BadNetwork`] for a class index outside [`ScgClass::ALL`]
+/// (the first check after the descriptor's three bytes, as in
+/// [`decode_request`]); [`ErrCode::Malformed`] for truncation or
+/// trailing bytes.
+pub fn route_payload(payload: &[u8]) -> Result<RoutePayload<'_>, ErrCode> {
+    let mut r = Reader::new(payload);
+    let net = NetId::decode(&mut r)?;
+    let from = label(&mut r)?;
+    let to = label(&mut r)?;
+    r.finish()?;
+    Ok(RoutePayload { net, from, to })
+}
+
 /// A decoded reply frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
@@ -371,9 +405,13 @@ fn encode_perm(out: &mut Vec<u8>, p: &Perm) {
     }
 }
 
-fn decode_perm(r: &mut Reader<'_>) -> Result<Perm, ErrCode> {
+/// A perm's symbol run (`k: u8`, then `k` bytes), unchecked.
+fn label<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], ErrCode> {
     let k = usize::from(r.u8()?);
-    let symbols = r.take(k)?;
+    r.take(k)
+}
+
+fn decode_perm(symbols: &[u8]) -> Result<Perm, ErrCode> {
     Perm::from_symbols(symbols).map_err(|_| ErrCode::Malformed)
 }
 
@@ -561,14 +599,18 @@ pub fn decode_request(ver: u8, ftype: u8, payload: &[u8]) -> Result<Request, Err
         return Err(ErrCode::BadVersion);
     }
     let ftype = FrameType::from_u8(ftype).ok_or(ErrCode::BadFrameType)?;
+    if ftype == FrameType::Route {
+        // Every non-descriptor fault of a ROUTE payload is `Malformed`,
+        // so framing first and checking symbols after gives the same code.
+        let p = route_payload(payload)?;
+        return Ok(Request::Route {
+            net: p.net,
+            from: decode_perm(p.from)?,
+            to: decode_perm(p.to)?,
+        });
+    }
     let mut r = Reader::new(payload);
     let req = match ftype {
-        FrameType::Route => {
-            let net = NetId::decode(&mut r)?;
-            let from = decode_perm(&mut r)?;
-            let to = decode_perm(&mut r)?;
-            Request::Route { net, from, to }
-        }
         FrameType::RouteBatch => {
             let net = NetId::decode(&mut r)?;
             let count = r.u32()?;
@@ -578,8 +620,8 @@ pub fn decode_request(ver: u8, ftype: u8, payload: &[u8]) -> Result<Request, Err
             let k = usize::from(r.u8()?);
             let mut pairs = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let from = Perm::from_symbols(r.take(k)?).map_err(|_| ErrCode::Malformed)?;
-                let to = Perm::from_symbols(r.take(k)?).map_err(|_| ErrCode::Malformed)?;
+                let from = decode_perm(r.take(k)?)?;
+                let to = decode_perm(r.take(k)?)?;
                 pairs.push((from, to));
             }
             Request::RouteBatch { net, pairs }
@@ -608,7 +650,8 @@ pub fn decode_request(ver: u8, ftype: u8, payload: &[u8]) -> Result<Request, Err
             };
             Request::Metrics { json }
         }
-        _ => return Err(ErrCode::BadFrameType), // reply type sent as request
+        // A reply type sent as a request (ROUTE returned above).
+        _ => return Err(ErrCode::BadFrameType),
     };
     r.finish()?;
     Ok(req)

@@ -634,3 +634,95 @@ fn frame_type_and_err_code_tables_are_stable() {
         assert!(!code.as_str().is_empty());
     }
 }
+
+/// The reply bytes the daemon owes a clean ROUTE: the in-process
+/// router's hops, encoded.
+fn clean_route_reply(net: NetId, from: &Perm, to: &Perm) -> Vec<u8> {
+    let hops = scg_route(&net.to_net().expect("net"), from, to).expect("route");
+    encode_reply(&Reply::RouteOk { flags: 0, hops })
+}
+
+/// Reads exactly one frame off a blocking stream, header included.
+fn read_frame(s: &mut impl std::io::Read) -> Vec<u8> {
+    let mut frame = vec![0u8; 4];
+    s.read_exact(&mut frame).expect("length field");
+    let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    s.read_exact(&mut frame[4..]).expect("frame body");
+    frame
+}
+
+/// Seeded ROUTE frames on MS(2,2) with the replies they are owed.
+fn route_exchanges(seed: u64, n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rng = XorShift64::new(seed);
+    (0..n)
+        .map(|_| {
+            let (from, to) = (Perm::random(5, &mut rng), Perm::random(5, &mut rng));
+            let req = Request::Route {
+                net: ms22(),
+                from,
+                to,
+            };
+            (encode_request(&req), clean_route_reply(ms22(), &from, &to))
+        })
+        .collect()
+}
+
+/// Frames that arrive together are all answered, in order; a frame that
+/// arrives in two pieces, split at any byte, is answered once whole.
+#[test]
+fn pipelined_and_split_route_frames_are_answered_in_order() {
+    use std::io::{Read, Write};
+    let sock = test_sock("pipeline");
+    let server = spawn(Config {
+        uds_path: sock.clone(),
+        tcp: false,
+        shards: 1,
+    })
+    .expect("spawn");
+    let mut s = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let batch = route_exchanges(0x32, 32);
+    let burst: Vec<u8> = batch.iter().flat_map(|(req, _)| req.clone()).collect();
+    s.write_all(&burst).expect("send 32 frames at once");
+    for (i, (_, reply)) in batch.iter().enumerate() {
+        assert_eq!(&read_frame(&mut s), reply, "reply {i} of the burst");
+    }
+    let (req, reply) = &route_exchanges(0x5B, 1)[0];
+    for cut in 1..req.len() {
+        s.write_all(&req[..cut]).expect("first piece");
+        // Give the daemon time to read the piece on its own.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        s.write_all(&req[cut..]).expect("second piece");
+        assert_eq!(&read_frame(&mut s), reply, "frame split at byte {cut}");
+    }
+    s.set_nonblocking(true).expect("nonblocking");
+    let mut extra = [0u8; 1];
+    assert!(
+        matches!(s.read(&mut extra), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the daemon sent more than one reply per frame"
+    );
+    server.shutdown();
+}
+
+/// A client that sends a frame and shuts down its write half gets the
+/// reply, then EOF.
+#[test]
+fn a_half_closed_client_gets_its_reply_then_eof() {
+    use std::io::{Read, Write};
+    let sock = test_sock("halfclose");
+    let server = spawn(Config {
+        uds_path: sock.clone(),
+        tcp: false,
+        shards: 1,
+    })
+    .expect("spawn");
+    for (req, reply) in route_exchanges(0x4A1F, 4) {
+        let mut s = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+        s.write_all(&req).expect("send");
+        s.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut got = Vec::new();
+        s.read_to_end(&mut got).expect("reply, then EOF");
+        assert_eq!(got, reply);
+    }
+    server.shutdown();
+}
