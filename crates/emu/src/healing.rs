@@ -200,7 +200,7 @@ pub fn run_chaos(
             break;
         }
         // 1. Chaos events due this cycle.
-        for te in schedule.drain_due(now).to_vec() {
+        for te in schedule.drain_due(now) {
             sim.apply_event(te.event)?;
             report.events_applied += 1;
             if te.event.is_fault() {

@@ -56,5 +56,5 @@ pub use error::EmuError;
 pub use healing::{run_chaos, ChaosConfig, ChaosReport, CurveSample, EventRecovery};
 pub use schedule::{AllPortSchedule, DimSchedule, ScheduledHop};
 pub use sdc::{pipelined_dimension_cost, PipelinedCost, SdcReport};
-pub use sim::{NextHop, Packet, PortModel, Router, SimStats, SyncSim, TableRouter};
+pub use sim::{NextHop, Packet, PortModel, Router, SimStats, SyncSim, TableRouter, NO_HINT};
 pub use traffic::TrafficSummary;

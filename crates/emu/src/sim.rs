@@ -11,7 +11,10 @@
 //! set while the queue holds a packet, and a step walks only the set bits
 //! in increasing edge id — the same (node, slot) order a scan of every
 //! link would take. A step therefore costs O(occupied links +
-//! transmissions), plus one word per 64 links, not O(N·d).
+//! transmissions), plus one word per 64 links, not O(N·d). The `N·d`
+//! link FIFOs are linked lists through one shared flight slab, which holds
+//! at most the peak number of packets in flight; a transmission moves a
+//! slab index, not the flight.
 //!
 //! Faults can be injected *and repaired* mid-run ([`SyncSim::fail_node`],
 //! [`SyncSim::repair_node`], link variants, or a whole seeded
@@ -34,7 +37,10 @@
 //! [`TableRouter`] keeps one `N`-entry table toward the identity and
 //! translates every lookup by left multiplication (one packed compose and
 //! rank), so its memory is linear in `N`; with faults, symmetry breaks and
-//! it builds the `N × N` survivor table.
+//! it builds the `N × N` survivor table. Each queued packet carries the
+//! translated state as a [`Router::next_hop_hinted`] hint, so the compose
+//! and rank happen once, at injection, and every later hop is two table
+//! reads.
 
 use std::collections::VecDeque;
 
@@ -81,11 +87,26 @@ pub enum NextHop {
     Unreachable,
 }
 
+/// The routing hint that carries no information (see
+/// [`Router::next_hop_hinted`]). No node count reaches it: `N ≤ 12! < 2³²`.
+pub const NO_HINT: u32 = u32::MAX;
+
 /// Chooses the outgoing link for a packet at a node.
 pub trait Router {
     /// The routing decision for `packet` at node `at`. `Forward(slot)`
     /// indexes into `graph.out_neighbors(at)`.
     fn next_hop(&self, at: NodeId, packet: &Packet) -> NextHop;
+
+    /// [`next_hop`](Router::next_hop) with a per-packet hint, which is
+    /// [`NO_HINT`] or what this router returned for the same packet at the
+    /// previous node; the decision must equal `next_hop`'s. Returns the
+    /// decision plus the hint for the node at the far end of the chosen
+    /// slot ([`NO_HINT`] when there is none). The simulator keeps the hint
+    /// in each queued packet and clears it on a fault-time reroute. The
+    /// default ignores the hint.
+    fn next_hop_hinted(&self, at: NodeId, packet: &Packet, _hint: u32) -> (NextHop, u32) {
+        (self.next_hop(at, packet), NO_HINT)
+    }
 
     /// Fault-time re-consultation: `dead(slot)` reports slots that are
     /// currently unusable. The default deflects to the first live slot when
@@ -123,9 +144,26 @@ enum TableSlot {
 /// The tie-break shared by both tables: among the `candidates` shortest
 /// out-slots of `u` toward `dst`, in slot order, the one to take.
 fn tie_break(u: usize, dst: usize, candidates: usize) -> usize {
-    (u.wrapping_mul(0x9E37_79B9)
-        .wrapping_add(dst.wrapping_mul(0x85EB_CA6B)))
-        % candidates
+    let h = u
+        .wrapping_mul(0x9E37_79B9)
+        .wrapping_add(dst.wrapping_mul(0x85EB_CA6B));
+    modulo(h, candidates)
+}
+
+/// `h % c`. Every routing decision takes one, so each small `c` gets its
+/// own arm: a constant divisor compiles to a multiply, where `h % c` is a
+/// 64-bit divide.
+fn modulo(h: usize, c: usize) -> usize {
+    macro_rules! by_constant {
+        ($($c:literal)*) => {
+            match c {
+                1 => 0,
+                $($c => h % $c,)*
+                c => h % c,
+            }
+        };
+    }
+    by_constant!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
 }
 
 /// Reusable build buffers for [`TableRouter::refresh_with_faults`]: the
@@ -254,7 +292,9 @@ impl RefreshScratch {
 /// out-links of `u` toward `dst` are those of `x = dst⁻¹ ∘ u` toward the
 /// identity, generator for generator. A lookup is one packed compose and
 /// rank, then the generator mask at `x` mapped through `u`'s own slot
-/// order.
+/// order. A packet can carry `x` from hop to hop: along generator `g_s`
+/// it becomes `rank(label(x) ∘ g_s)`, one entry of `next_rank`, so a
+/// hinted lookup costs two table reads and no compose or rank.
 #[derive(Debug, Clone, Default)]
 struct CayleyTable {
     k: usize,
@@ -271,6 +311,9 @@ struct CayleyTable {
     /// shortest path from `x` to the identity; 0 for the identity itself
     /// and for nodes that cannot reach it.
     toward_identity: Vec<u64>,
+    /// `next_rank[x * degree + s]` = `rank(label(x) ∘ g_s)`, the node
+    /// generator `s` leads to from `x`.
+    next_rank: Vec<u32>,
 }
 
 impl CayleyTable {
@@ -308,6 +351,7 @@ impl CayleyTable {
         self.inv_labels
             .extend(self.labels.iter().map(|p| p.inverse()));
         self.gen_to_slot.clear();
+        self.next_rank.clear();
         for (u, label) in self.labels.iter().enumerate() {
             let outs = graph.out_neighbors(u as NodeId);
             if outs.len() != degree {
@@ -325,6 +369,7 @@ impl CayleyTable {
                 }
                 used |= 1 << slot;
                 self.gen_to_slot.push(u8::try_from(slot).ok()?);
+                self.next_rank.push(v);
             }
         }
         // One reverse BFS to the identity.
@@ -349,28 +394,72 @@ impl CayleyTable {
         Some(())
     }
 
-    /// The decision at `u` toward `dst`, identical to the full table's.
-    fn next_hop(&self, u: usize, dst: usize) -> NextHop {
-        if u == dst {
-            return NextHop::Deliver;
-        }
+    /// `rank(dst⁻¹ ∘ u)`: one packed compose and rank.
+    fn relative(&self, u: usize, dst: usize) -> Option<usize> {
         let x = self.inv_labels[dst].compose(self.labels[u]).rank(self.k);
-        let Some(x) = x.ok().and_then(|x| usize::try_from(x).ok()) else {
-            return NextHop::Unreachable;
-        };
+        x.ok().and_then(|x| usize::try_from(x).ok())
+    }
+
+    /// The slot `u` forwards on toward `dst`, given `x = rank(dst⁻¹ ∘ u)`
+    /// with `u ≠ dst`, plus the generator mask at `x`; `None` if `x`
+    /// cannot reach the identity.
+    fn forward(&self, u: usize, dst: usize, x: usize) -> Option<(usize, u64)> {
         let row = &self.gen_to_slot[u * self.degree..(u + 1) * self.degree];
-        let (mut gens, mut slots) = (self.toward_identity[x], 0u64);
+        let (all, mut slots) = (self.toward_identity[x], 0u64);
+        let mut gens = all;
         while gens != 0 {
             slots |= 1 << row[gens.trailing_zeros() as usize];
             gens &= gens - 1;
         }
         if slots == 0 {
-            return NextHop::Unreachable;
+            return None;
         }
         for _ in 0..tie_break(u, dst, slots.count_ones() as usize) {
             slots &= slots - 1;
         }
-        NextHop::Forward(slots.trailing_zeros() as usize)
+        Some((slots.trailing_zeros() as usize, all))
+    }
+
+    /// The decision at `u` toward `dst`, identical to the full table's.
+    fn next_hop(&self, u: usize, dst: usize) -> NextHop {
+        if u == dst {
+            return NextHop::Deliver;
+        }
+        match self.relative(u, dst).and_then(|x| self.forward(u, dst, x)) {
+            Some((slot, _)) => NextHop::Forward(slot),
+            None => NextHop::Unreachable,
+        }
+    }
+
+    /// [`next_hop`](Self::next_hop) given the hint `x = rank(dst⁻¹ ∘ u)`
+    /// (computed when it is [`NO_HINT`]), plus the far end's hint.
+    fn next_hop_hinted(&self, u: usize, dst: usize, hint: u32) -> (NextHop, u32) {
+        if u == dst {
+            return (NextHop::Deliver, NO_HINT);
+        }
+        // NO_HINT, like any value past the table, fails the check.
+        let x = match hint as usize {
+            x if x < self.toward_identity.len() => x,
+            _ => match self.relative(u, dst) {
+                Some(x) => x,
+                None => return (NextHop::Unreachable, NO_HINT),
+            },
+        };
+        debug_assert_eq!(Some(x), self.relative(u, dst), "stale hint at {u} → {dst}");
+        let Some((slot, mut gens)) = self.forward(u, dst, x) else {
+            return (NextHop::Unreachable, NO_HINT);
+        };
+        // The generator behind `slot`; parallel links share a far end, so
+        // any of them gives the same hint.
+        let row = &self.gen_to_slot[u * self.degree..(u + 1) * self.degree];
+        while gens != 0 {
+            let s = gens.trailing_zeros() as usize;
+            if usize::from(row[s]) == slot {
+                return (NextHop::Forward(slot), self.next_rank[x * self.degree + s]);
+            }
+            gens &= gens - 1;
+        }
+        (NextHop::Forward(slot), NO_HINT)
     }
 }
 
@@ -381,7 +470,11 @@ impl CayleyTable {
 /// lexicographic ranks (every materialized super Cayley network), the
 /// router keeps one `N`-entry table toward the identity and answers each
 /// lookup with one packed compose and rank (left multiplication by
-/// `dst⁻¹` is an automorphism). The structure is checked link by link,
+/// `dst⁻¹` is an automorphism). A [hinted](Router::next_hop_hinted)
+/// lookup takes that rank from the packet instead and returns the next
+/// node's from an `N × d` table, so a packet pays the compose and rank
+/// once, at injection, and two table reads per hop after that. The
+/// structure is checked link by link,
 /// not assumed; any other graph, and any non-empty fault set, gets the
 /// full `N × N` survivor table, built by one BFS per destination. Both
 /// tables make the same decision for every `(node, destination)`.
@@ -410,8 +503,8 @@ pub struct TableRouter {
 
 impl TableRouter {
     /// Builds the router over the fault-free graph: the translated
-    /// identity table when the graph is a rank-labelled Cayley graph of
-    /// `S_k` (`O(N·d)` time and memory), else the full `N × N` table
+    /// identity and hint tables when the graph is a rank-labelled Cayley
+    /// graph of `S_k` (`O(N·d)` time and memory), else the full `N × N` table
     /// (`O(N·E)` time, `N²` entries).
     ///
     /// # Errors
@@ -536,6 +629,18 @@ impl Router for TableRouter {
             TableSlot::Unreachable => NextHop::Unreachable,
         }
     }
+
+    /// The translated table reads and returns `x = rank(dst⁻¹ ∘ at)`, a
+    /// function of the node and the destination alone, so a hint stays
+    /// valid across refreshes; the survivor table ignores it.
+    fn next_hop_hinted(&self, at: NodeId, packet: &Packet, hint: u32) -> (NextHop, u32) {
+        if self.translated {
+            return self
+                .cayley
+                .next_hop_hinted(at as usize, packet.dst as usize, hint);
+        }
+        (self.next_hop(at, packet), NO_HINT)
+    }
 }
 
 /// Statistics of a completed simulation run.
@@ -584,16 +689,151 @@ impl SimStats {
 }
 
 /// A queued packet plus its fault-handling state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Flight {
     packet: Packet,
     /// Remaining hops before the packet is dropped.
     ttl: u32,
     /// Fault retries consumed so far.
     retries: u32,
+    /// The router's hint for the far end of the link the packet is queued
+    /// on ([`Router::next_hop_hinted`]); [`NO_HINT`] after a reroute.
+    hint: u32,
     /// Earliest cycle the next fault-time retry may fire (exponential
     /// backoff); 0 means no backoff pending.
     not_before: u64,
+}
+
+/// The end of a list in [`LinkQueues`].
+const NIL: u32 = u32::MAX;
+
+/// One FIFO per directed link (CSR edge id), all threaded through one
+/// shared slab of flights: queue `e` is the singly linked list from
+/// `head[e]` to `tail[e]` through `next`, and freed slots go on a free
+/// list that is reused before the slab grows. The slab therefore holds at
+/// most the peak number of packets in flight, whatever the link count.
+///
+/// A slot is either on one queue, on the free list, or *detached* (held
+/// by the caller between [`pop_slot`](Self::pop_slot) and
+/// [`push_slot`](Self::push_slot) or [`remove`](Self::remove)).
+#[derive(Debug, Clone)]
+struct LinkQueues {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    flights: Vec<Flight>,
+    next: Vec<u32>,
+    /// Head of the free list, threaded through `next`.
+    free: u32,
+}
+
+impl LinkQueues {
+    fn new(links: usize) -> Self {
+        LinkQueues {
+            head: vec![NIL; links],
+            tail: vec![NIL; links],
+            flights: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn is_empty(&self, e: usize) -> bool {
+        self.head[e] == NIL
+    }
+
+    /// Queue `e`'s flights, front first.
+    #[cfg(any(test, feature = "obs"))]
+    fn iter(&self, e: usize) -> impl Iterator<Item = &Flight> + '_ {
+        let link = |i: u32| (i != NIL).then_some(i);
+        std::iter::successors(link(self.head[e]), move |&i| link(self.next[i as usize]))
+            .map(|i| &self.flights[i as usize])
+    }
+
+    fn flight(&self, i: u32) -> &Flight {
+        &self.flights[i as usize]
+    }
+
+    fn flight_mut(&mut self, i: u32) -> &mut Flight {
+        &mut self.flights[i as usize]
+    }
+
+    /// Stores `flight` in a detached slot, reusing a freed one if any.
+    fn insert(&mut self, flight: Flight) -> Result<u32, EmuError> {
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.next[i as usize];
+            self.flights[i as usize] = flight;
+            return Ok(i);
+        }
+        let i = u32::try_from(self.flights.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .ok_or(EmuError::SimOutOfRange {
+                reason: "more packets in flight than the flight slab indexes",
+            })?;
+        self.flights.push(flight);
+        self.next.push(NIL);
+        Ok(i)
+    }
+
+    /// Appends the detached slot `i` to queue `e`.
+    fn push_slot(&mut self, e: usize, i: u32) {
+        self.next[i as usize] = NIL;
+        match self.tail[e] {
+            NIL => self.head[e] = i,
+            t => self.next[t as usize] = i,
+        }
+        self.tail[e] = i;
+    }
+
+    /// Detaches queue `e`'s head slot.
+    fn pop_slot(&mut self, e: usize) -> Option<u32> {
+        let i = self.head[e];
+        if i == NIL {
+            return None;
+        }
+        self.head[e] = self.next[i as usize];
+        if self.head[e] == NIL {
+            self.tail[e] = NIL;
+        }
+        Some(i)
+    }
+
+    /// Frees the detached slot `i`, returning its flight.
+    fn remove(&mut self, i: u32) -> Flight {
+        self.next[i as usize] = self.free;
+        self.free = i;
+        self.flights[i as usize]
+    }
+
+    /// Detaches all of queue `e` as a chain for [`pop_chain`](Self::pop_chain).
+    fn take(&mut self, e: usize) -> u32 {
+        let chain = self.head[e];
+        self.head[e] = NIL;
+        self.tail[e] = NIL;
+        chain
+    }
+
+    /// Detaches the first slot of a chain from [`take`](Self::take).
+    fn pop_chain(&self, chain: &mut u32) -> Option<u32> {
+        let i = *chain;
+        if i == NIL {
+            return None;
+        }
+        *chain = self.next[i as usize];
+        Some(i)
+    }
+
+    /// Empties queue `e`, freeing its slots; returns how many it held.
+    fn clear(&mut self, e: usize) -> u64 {
+        let mut chain = self.take(e);
+        let mut freed = 0;
+        while let Some(i) = self.pop_chain(&mut chain) {
+            self.remove(i);
+            freed += 1;
+        }
+        freed
+    }
 }
 
 /// The synchronous store-and-forward simulator.
@@ -601,9 +841,9 @@ struct Flight {
 pub struct SyncSim<'a> {
     graph: &'a DenseGraph,
     model: PortModel,
-    /// FIFO per directed link (CSR edge index).
-    queues: Vec<VecDeque<Flight>>,
-    /// Bit `e` set iff `queues[e]` is non-empty.
+    /// FIFO per directed link (CSR edge index), in one flight slab.
+    queues: LinkQueues,
+    /// Bit `e` set iff queue `e` is non-empty.
     occupied: Vec<u64>,
     /// `edge_owner[e]` = the node whose out-edge `e` is.
     edge_owner: Vec<NodeId>,
@@ -630,9 +870,10 @@ pub struct SyncSim<'a> {
     /// Flights currently parked in backoff (recomputed every step).
     waiting: u64,
     in_flight: u64,
-    /// Transmissions of the current step, kept between steps so a step
-    /// allocates nothing once it reached its high-water size.
-    arrivals: Vec<(NodeId, Flight)>,
+    /// Transmissions of the current step as (far end, detached slab
+    /// slot), kept between steps so a step allocates nothing once it
+    /// reached its high-water size.
+    arrivals: Vec<(NodeId, u32)>,
 }
 
 impl<'a> SyncSim<'a> {
@@ -650,7 +891,7 @@ impl<'a> SyncSim<'a> {
         SyncSim {
             graph,
             model,
-            queues: vec![VecDeque::new(); graph.num_edges()],
+            queues: LinkQueues::new(graph.num_edges()),
             occupied: vec![0; graph.num_edges().div_ceil(64)],
             edge_owner,
             rr: vec![0; graph.num_nodes()],
@@ -760,8 +1001,7 @@ impl<'a> SyncSim<'a> {
         self.faults.fail_node(u);
         let mut lost = 0u64;
         for e in self.graph.edge_range(u) {
-            lost += self.queues[e].len() as u64;
-            self.queues[e].clear();
+            lost += self.queues.clear(e);
             self.mark_empty(e);
         }
         self.dropped += lost;
@@ -870,12 +1110,11 @@ impl<'a> SyncSim<'a> {
     /// Returns [`EmuError::SimOutOfRange`] if an event names a node or
     /// link outside the graph.
     pub fn apply_chaos(&mut self, schedule: &mut FaultSchedule) -> Result<usize, EmuError> {
-        let mut fired = 0;
-        for te in schedule.drain_due(self.now).to_vec() {
+        let due = schedule.drain_due(self.now);
+        for te in due {
             self.apply_event(te.event)?;
-            fired += 1;
         }
-        Ok(fired)
+        Ok(due.len())
     }
 
     /// Applies one chaos event to the live simulator, bumping
@@ -931,33 +1170,32 @@ impl<'a> SyncSim<'a> {
                 reason: "inject at failed node",
             });
         }
-        match router.next_hop(at, &packet) {
-            NextHop::Deliver => {
+        match router.next_hop_hinted(at, &packet, NO_HINT) {
+            (NextHop::Deliver, _) => {
                 self.delivered += 1;
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::delivered(0);
             }
-            NextHop::Forward(slot) => {
+            (NextHop::Forward(slot), hint) => {
                 if slot >= self.graph.out_degree(at) {
                     return Err(EmuError::SimOutOfRange {
                         reason: "router slot out of range",
                     });
                 }
                 let base = self.edge_base(at);
-                self.push(
-                    base + slot,
-                    Flight {
-                        packet,
-                        ttl: self.ttl_limit,
-                        retries: 0,
-                        not_before: 0,
-                    },
-                );
+                let i = self.queues.insert(Flight {
+                    packet,
+                    ttl: self.ttl_limit,
+                    retries: 0,
+                    hint,
+                    not_before: 0,
+                })?;
+                self.push(base + slot, i);
                 self.in_flight += 1;
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::injected();
             }
-            NextHop::Unreachable => {
+            (NextHop::Unreachable, _) => {
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::unreachable();
                 return Err(EmuError::Unreachable {
@@ -973,15 +1211,16 @@ impl<'a> SyncSim<'a> {
         self.graph.edge_range(u).start
     }
 
-    /// Appends `flight` to queue `e`, marking it occupied.
-    fn push(&mut self, e: usize, flight: Flight) {
-        self.queues[e].push_back(flight);
+    /// Appends the detached slab slot `i` to queue `e`, marking it
+    /// occupied.
+    fn push(&mut self, e: usize, i: u32) {
+        self.queues.push_slot(e, i);
         self.occupied[e / 64] |= 1 << (e % 64);
     }
 
     /// Clears queue `e`'s occupancy bit; the queue must be empty.
     fn mark_empty(&mut self, e: usize) {
-        debug_assert!(self.queues[e].is_empty());
+        debug_assert!(self.queues.is_empty(e));
         self.occupied[e / 64] &= !(1 << (e % 64));
     }
 
@@ -1042,22 +1281,27 @@ impl<'a> SyncSim<'a> {
             let base = self.edge_base(u);
             // Take the backlog so parked flights can be pushed back onto
             // the same (dead) queue without being re-examined.
-            let mut backlog = std::mem::take(&mut self.queues[e]);
+            let mut backlog = self.queues.take(e);
             self.mark_empty(e);
-            while let Some(mut flight) = backlog.pop_front() {
-                if flight.not_before > self.now {
+            while let Some(i) = self.queues.pop_chain(&mut backlog) {
+                if self.queues.flight(i).not_before > self.now {
                     self.waiting += 1;
-                    self.push(e, flight);
+                    self.push(e, i);
                     continue;
                 }
                 self.in_flight -= 1;
-                if flight.retries >= self.retry_limit {
+                if self.queues.flight(i).retries >= self.retry_limit {
+                    self.queues.remove(i);
                     self.dropped += 1;
                     #[cfg(feature = "obs")]
                     crate::obs_hooks::dropped(1);
                     continue;
                 }
+                let flight = self.queues.flight_mut(i);
                 flight.retries += 1;
+                // The packet leaves this link, so its far end changes.
+                flight.hint = NO_HINT;
+                let flight = *flight;
                 self.retried += 1;
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::retried();
@@ -1069,13 +1313,14 @@ impl<'a> SyncSim<'a> {
                 };
                 match hop {
                     NextHop::Deliver => {
+                        self.queues.remove(i);
                         self.delivered += 1;
                         self.recovered += 1;
                         #[cfg(feature = "obs")]
                         crate::obs_hooks::delivered(u64::from(self.ttl_limit - flight.ttl));
                     }
                     NextHop::Forward(s) if s < deg && !self.slot_dead(u, s) => {
-                        self.push(base + s, flight);
+                        self.push(base + s, i);
                         self.in_flight += 1;
                     }
                     NextHop::Forward(s) if s >= deg => {
@@ -1093,11 +1338,12 @@ impl<'a> SyncSim<'a> {
                             let exp = flight.retries.saturating_sub(1).min(20);
                             let delay = (u64::from(self.backoff_base) << exp)
                                 .clamp(1, u64::from(self.backoff_cap).max(1));
-                            flight.not_before = self.now + delay;
+                            self.queues.flight_mut(i).not_before = self.now + delay;
                             self.waiting += 1;
-                            self.push(e, flight);
+                            self.push(e, i);
                             self.in_flight += 1;
                         } else {
+                            self.queues.remove(i);
                             self.dropped += 1;
                             #[cfg(feature = "obs")]
                             crate::obs_hooks::dropped(1);
@@ -1109,36 +1355,37 @@ impl<'a> SyncSim<'a> {
         Ok(())
     }
 
-    /// Pops the next transmittable flight of queue `e`, dropping
+    /// Detaches the next transmittable flight of queue `e`, dropping
     /// TTL-exhausted heads (they do not consume link capacity).
-    fn pop_transmittable(&mut self, e: usize) -> Option<Flight> {
+    fn pop_transmittable(&mut self, e: usize) -> Option<u32> {
         let mut sent = None;
-        while let Some(flight) = self.queues[e].pop_front() {
+        while let Some(i) = self.queues.pop_slot(e) {
             self.in_flight -= 1;
-            if flight.ttl == 0 {
+            if self.queues.flight(i).ttl == 0 {
+                self.queues.remove(i);
                 self.dropped += 1;
                 #[cfg(feature = "obs")]
                 crate::obs_hooks::dropped(1);
                 continue;
             }
-            sent = Some(flight);
+            sent = Some(i);
             break;
         }
-        if self.queues[e].is_empty() {
+        if self.queues.is_empty(e) {
             self.mark_empty(e);
         }
         sent
     }
 
     /// Sends the next transmittable flight on out-slot `slot` of `u`
-    /// (edge `base + slot`) and returns its arrival at the far end.
-    fn transmit(&mut self, u: NodeId, base: usize, slot: usize) -> Option<(NodeId, Flight)> {
-        let mut flight = self.pop_transmittable(base + slot)?;
+    /// (edge `base + slot`) and returns its far end and detached slot.
+    fn transmit(&mut self, u: NodeId, base: usize, slot: usize) -> Option<(NodeId, u32)> {
+        let i = self.pop_transmittable(base + slot)?;
         let traffic = &mut self.link_traffic[base + slot];
         *traffic += 1;
         self.max_link_traffic = self.max_link_traffic.max(*traffic);
-        flight.ttl -= 1;
-        Some((self.graph.out_neighbors(u)[slot], flight))
+        self.queues.flight_mut(i).ttl -= 1;
+        Some((self.graph.out_neighbors(u)[slot], i))
     }
 
     /// Runs one synchronous step; returns the number of packets moved.
@@ -1188,15 +1435,17 @@ impl<'a> SyncSim<'a> {
         }
         let moved = arrivals.len() as u64;
         self.transmissions += moved;
-        for (v, flight) in arrivals.drain(..) {
-            match router.next_hop(v, &flight.packet) {
-                NextHop::Deliver => {
+        for (v, i) in arrivals.drain(..) {
+            let flight = self.queues.flight(i);
+            match router.next_hop_hinted(v, &flight.packet, flight.hint) {
+                (NextHop::Deliver, _) => {
+                    let flight = self.queues.remove(i);
                     self.delivered += 1;
                     self.recovered += u64::from(flight.retries > 0);
                     #[cfg(feature = "obs")]
                     crate::obs_hooks::delivered(u64::from(self.ttl_limit - flight.ttl));
                 }
-                NextHop::Forward(slot) => {
+                (NextHop::Forward(slot), hint) => {
                     if slot >= self.graph.out_degree(v) {
                         return Err(EmuError::SimOutOfRange {
                             reason: "router slot out of range",
@@ -1204,13 +1453,15 @@ impl<'a> SyncSim<'a> {
                     }
                     // Queue even if the slot is currently dead: the retry
                     // phase of the next step re-consults the router.
+                    self.queues.flight_mut(i).hint = hint;
                     let base = self.edge_base(v);
-                    self.push(base + slot, flight);
+                    self.push(base + slot, i);
                     self.in_flight += 1;
                 }
                 // Mid-flight unreachability is fault-induced; count the
                 // drop rather than poisoning the whole run.
-                NextHop::Unreachable => {
+                (NextHop::Unreachable, _) => {
+                    self.queues.remove(i);
                     self.dropped += 1;
                     #[cfg(feature = "obs")]
                     crate::obs_hooks::dropped(1);
@@ -1229,7 +1480,7 @@ impl<'a> SyncSim<'a> {
         // Empty queues have length 0, so the occupied ones hold the peak.
         let queue_peak = self
             .occupied_edges()
-            .map(|e| self.queues[e].len())
+            .map(|e| self.queues.iter(e).count())
             .max()
             .unwrap_or(0);
         crate::obs_hooks::step(
@@ -1672,17 +1923,265 @@ mod tests {
     }
 
     /// Every `(u, dst)` pair of all ten classes at `k = 7` (25.4 M pairs
-    /// each, ~1 min in release): run with `--ignored`.
+    /// each, ~1 min in release), plus the hinted walk of every pair on
+    /// MS(3,2): run with `--ignored`.
     #[test]
     #[ignore = "exhaustive k = 7 sweep; run in release with --ignored"]
     fn translated_table_matches_full_table_exhaustive_k7() {
-        for net in ten_classes(3, 2) {
+        for (i, net) in ten_classes(3, 2).into_iter().enumerate() {
             let mat = materialize(&net, DEFAULT_NET_CAP).unwrap();
             let g = mat.graph();
             let r = TableRouter::new(g).unwrap();
             assert!(r.translated, "{}", net.name());
-            assert_same_decisions(&r, &full_table(g), g.num_nodes(), &net.name());
+            let full = full_table(g);
+            assert_same_decisions(&r, &full, g.num_nodes(), &net.name());
+            if i == 0 {
+                // The full table's decisions are plain `next_hop`'s, as
+                // just checked, and cost one read each.
+                assert_hinted_walks(g, &r, &full, &net.name());
+            }
         }
+    }
+
+    /// Walks every `(src, dst)` pair with `r`'s hinted lookup, feeding
+    /// each returned hint back in: at every node the decision must equal
+    /// `plain`'s `next_hop`, and the walk must deliver after exactly the
+    /// BFS distance.
+    fn assert_hinted_walks(g: &DenseGraph, r: &TableRouter, plain: &TableRouter, name: &str) {
+        let n = g.num_nodes() as NodeId;
+        for src in 0..n {
+            let dist = g.bfs_distances(src);
+            for dst in 0..n {
+                let p = pkt(src, dst);
+                let (mut at, mut hint, mut hops) = (src, NO_HINT, 0);
+                loop {
+                    let (hop, far_hint) = r.next_hop_hinted(at, &p, hint);
+                    assert_eq!(hop, plain.next_hop(at, &p), "{name}: {src} → {dst} at {at}");
+                    let NextHop::Forward(slot) = hop else { break };
+                    at = g.out_neighbors(at)[slot];
+                    hint = far_hint;
+                    hops += 1;
+                }
+                assert_eq!(
+                    (at, hops),
+                    (dst, dist[dst as usize]),
+                    "{name}: {src} → {dst}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_walks_match_next_hop_on_ten_k5_classes_and_is6() {
+        let mut nets = ten_classes(2, 2);
+        nets.push(SuperCayleyGraph::insertion_selection(6).unwrap());
+        for net in nets {
+            let mat = materialize(&net, DEFAULT_NET_CAP).unwrap();
+            let g = mat.graph();
+            let r = TableRouter::new(g).unwrap();
+            assert!(r.translated, "{}", net.name());
+            assert_hinted_walks(g, &r, &r, &net.name());
+        }
+    }
+
+    /// A [`TableRouter`] seen through `next_hop` alone: the default
+    /// hinted lookup, so every decision starts from a cleared hint.
+    struct Unhinted<'a>(&'a TableRouter);
+    impl Router for Unhinted<'_> {
+        fn next_hop(&self, at: NodeId, packet: &Packet) -> NextHop {
+            self.0.next_hop(at, packet)
+        }
+    }
+
+    /// Flights queued in `sim` that carry a hint.
+    fn hinted_flights(sim: &SyncSim<'_>) -> usize {
+        sim.occupied_edges()
+            .flat_map(|e| sim.queues.iter(e))
+            .filter(|f| f.hint != NO_HINT)
+            .count()
+    }
+
+    #[test]
+    fn hints_stay_valid_across_translated_survivor_translated_refreshes() {
+        let mat = materialize(
+            &SuperCayleyGraph::macro_star(2, 2).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let n = g.num_nodes();
+        let mut router = TableRouter::new(g).unwrap();
+        let mut hinted = SyncSim::new(g, PortModel::AllPort).with_backoff(1, 4);
+        let mut cleared = hinted.clone();
+        // Three permutation rounds at once keep the queues deep across
+        // both refreshes.
+        let mut rng = XorShift64::new(0x41A7);
+        for round in 0..3 {
+            let mut dst: Vec<NodeId> = (0..n as NodeId).collect();
+            rng.shuffle(&mut dst);
+            for (u, &v) in dst.iter().enumerate() {
+                let p = Packet {
+                    src: u as NodeId,
+                    dst: v,
+                    payload: round,
+                };
+                hinted.inject(u as NodeId, p, &router).unwrap();
+                cleared.inject(u as NodeId, p, &Unhinted(&router)).unwrap();
+            }
+        }
+        // Cycle 1 cuts the cable under the longest queue, whose packets
+        // retry with the stale translated table; cycle 2 refreshes to the
+        // survivor table, and cycle 4 repairs the cable and goes back to
+        // translation.
+        let e = hinted
+            .occupied_edges()
+            .max_by_key(|&e| hinted.queues.iter(e).count())
+            .unwrap();
+        let u = hinted.edge_owner[e];
+        let cut = (u, g.out_neighbors(u)[e - hinted.edge_base(u)]);
+        let mut carried = 0;
+        for cycle in 0..7 {
+            for sim in [&mut hinted, &mut cleared] {
+                match cycle {
+                    1 => sim.fail_link_undirected(cut.0, cut.1).unwrap(),
+                    4 => sim.repair_link_undirected(cut.0, cut.1).unwrap(),
+                    _ => {}
+                }
+            }
+            if cycle == 2 || cycle == 4 {
+                router.refresh_with_faults(g, hinted.faults()).unwrap();
+                assert_eq!(router.translated, cycle == 4);
+                if cycle == 4 {
+                    carried = hinted_flights(&hinted);
+                }
+            }
+            let moved = hinted.step(&router).unwrap();
+            assert_eq!(moved, cleared.step(&Unhinted(&router)).unwrap());
+            assert_eq!(hinted.stats(), cleared.stats(), "cycle {cycle}");
+            assert_eq!(hinted.link_traffic(), cleared.link_traffic());
+        }
+        assert!(carried > 0, "no hint outlived the survivor table");
+        let stats = hinted.run(&router, 1_000).unwrap();
+        assert_eq!(stats, cleared.run(&Unhinted(&router), 1_000).unwrap());
+        assert_eq!(stats.delivered + stats.dropped, 3 * n as u64);
+        assert!(stats.retried > 0);
+    }
+
+    /// Queue `e`'s payloads, front first.
+    fn payloads(q: &LinkQueues, e: usize) -> Vec<u64> {
+        q.iter(e).map(|f| f.packet.payload).collect()
+    }
+
+    #[test]
+    fn link_queues_match_a_vecdeque_model() {
+        let links = 37;
+        let mut q = LinkQueues::new(links);
+        let mut model: Vec<VecDeque<Flight>> = vec![VecDeque::new(); links];
+        let mut rng = XorShift64::new(0x51AB);
+        let (mut next_id, mut peak) = (0u64, 0usize);
+        let flight = |payload| Flight {
+            packet: Packet {
+                src: 0,
+                dst: 1,
+                payload,
+            },
+            ttl: 0,
+            retries: 0,
+            hint: NO_HINT,
+            not_before: 0,
+        };
+        for _ in 0..6_000 {
+            let e = rng.gen_range(links);
+            match rng.gen_range(8) {
+                // Push: injection or forwarding.
+                0..=3 => {
+                    let i = q.insert(flight(next_id)).unwrap();
+                    q.push_slot(e, i);
+                    model[e].push_back(flight(next_id));
+                    next_id += 1;
+                }
+                // Pop: a transmission.
+                4 | 5 => {
+                    assert_eq!(q.pop_slot(e).map(|i| q.remove(i)), model[e].pop_front());
+                }
+                // A node failure empties the queue.
+                6 => {
+                    assert_eq!(q.clear(e), model[e].len() as u64);
+                    model[e].clear();
+                }
+                // The retry phase: take the queue, then park each flight
+                // back on it, move it to another link, or drop it.
+                _ => {
+                    let mut chain = q.take(e);
+                    let backlog = std::mem::take(&mut model[e]);
+                    for want in backlog {
+                        let i = q.pop_chain(&mut chain).unwrap();
+                        assert_eq!(*q.flight(i), want);
+                        match rng.gen_range(3) {
+                            0 => {
+                                q.push_slot(e, i);
+                                model[e].push_back(want);
+                            }
+                            1 => {
+                                let f = rng.gen_range(links);
+                                q.push_slot(f, i);
+                                model[f].push_back(want);
+                            }
+                            _ => assert_eq!(q.remove(i), want),
+                        }
+                    }
+                    assert_eq!(q.pop_chain(&mut chain), None);
+                }
+            }
+            let live: usize = model.iter().map(VecDeque::len).sum();
+            peak = peak.max(live);
+            for (f, want) in model.iter().enumerate() {
+                assert_eq!(q.is_empty(f), want.is_empty());
+                let want: Vec<u64> = want.iter().map(|f| f.packet.payload).collect();
+                assert_eq!(payloads(&q, f), want, "link {f}");
+            }
+            // The slab grows only when every slot holds a live flight.
+            assert_eq!(q.flights.len(), peak);
+        }
+        assert!(peak > 20, "the model never built up a backlog");
+    }
+
+    #[test]
+    fn repeated_rounds_reuse_the_flight_slab() {
+        let mat = materialize(
+            &SuperCayleyGraph::macro_star(2, 2).unwrap(),
+            DEFAULT_NET_CAP,
+        )
+        .unwrap();
+        let g = mat.graph();
+        let n = g.num_nodes();
+        let r = TableRouter::new(g).unwrap();
+        let mut dst: Vec<NodeId> = (0..n as NodeId).collect();
+        XorShift64::new(0x5AB).shuffle(&mut dst);
+        let mut sim = SyncSim::new(g, PortModel::AllPort);
+        let mut slab = None;
+        for _ in 0..4 {
+            for (u, &v) in dst.iter().enumerate() {
+                sim.inject(u as NodeId, pkt(u as NodeId, v), &r).unwrap();
+            }
+            let stats = sim.run(&r, 100).unwrap();
+            assert_eq!(stats.undelivered, 0);
+            let len = sim.queues.flights.len();
+            assert!(len <= n, "{len} slots for {n} packets");
+            assert_eq!(*slab.get_or_insert(len), len);
+        }
+    }
+
+    #[test]
+    fn modulo_matches_the_remainder() {
+        let mut rng = XorShift64::new(0x7B1E);
+        for _ in 0..2_000 {
+            let h = rng.next_u64() as usize;
+            for c in 1..=64 {
+                assert_eq!(modulo(h, c), h % c, "{h} % {c}");
+            }
+        }
+        assert_eq!(tie_break(5, 9, 7), (5 * 0x9E37_79B9 + 9 * 0x85EB_CA6B) % 7);
     }
 
     #[test]
