@@ -2,7 +2,7 @@
 //!
 //! Every rule walks the [`lexer`](crate::lexer) token stream of one file —
 //! the flow rules additionally consult the brace-matched
-//! [`SyntaxTree`](crate::syntax::SyntaxTree) — and reports violations with
+//! [`SyntaxTree`] — and reports violations with
 //! exact `line:col` spans. Rules never fire inside test code (`#[test]`
 //! functions, `#[cfg(test)]` modules) and each can be silenced per-site
 //! with a justified suppression:

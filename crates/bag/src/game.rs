@@ -1,7 +1,7 @@
 use std::fmt;
 
 use scg_core::{
-    apply_path, bfs_route, materialize, scg_route, CayleyNetwork, CoreError, Generator,
+    apply_path, bfs_route, materialize, route_plan, CayleyNetwork, CoreError, Generator,
     SuperCayleyGraph,
 };
 use scg_perm::XorShift64;
@@ -113,28 +113,27 @@ impl BagGame {
     /// Solves the game: a legal move sequence from `c` to the sorted
     /// configuration.
     ///
-    /// Uses the network's emulation router (constant-factor optimal). For
-    /// the insertion-only rotator classes, falls back to exact BFS, capped
-    /// at one million expanded configurations.
+    /// Uses the network's emulation router (constant-factor optimal) on
+    /// every class; the insertion-only rotator classes route through
+    /// insertion cycles. [`solve_optimal`](Self::solve_optimal) finds a
+    /// shortest solution.
     ///
     /// # Errors
     ///
     /// * [`CoreError::DegreeMismatch`] — wrong ball count;
-    /// * [`CoreError::TooLarge`] — BFS fallback exceeded its cap.
+    /// * [`CoreError::Perm`] — more than 16 balls, beyond the packed
+    ///   routing kernel.
     pub fn solve(&self, c: &BagConfig) -> Result<Vec<Generator>, CoreError> {
         let target = scg_perm::Perm::identity(self.num_balls());
-        match scg_route(&self.net, c.as_perm(), &target) {
-            Ok(path) => Ok(path),
-            Err(CoreError::NoRoute) => bfs_route(&self.net, c.as_perm(), &target, 1_000_000),
-            Err(e) => Err(e),
-        }
+        route_plan(&self.net)?.route(c.as_perm(), &target)
     }
 
     /// Solves optimally (minimum move count = graph distance) by BFS.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::TooLarge`] — more than `cap` configurations expanded.
+    /// * [`CoreError::TooLarge`] — more than `cap` configurations reached,
+    ///   or more than 12 balls (see [`bfs_route`]).
     pub fn solve_optimal(&self, c: &BagConfig, cap: u64) -> Result<Vec<Generator>, CoreError> {
         let target = scg_perm::Perm::identity(self.num_balls());
         bfs_route(&self.net, c.as_perm(), &target, cap)

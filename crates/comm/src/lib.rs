@@ -38,12 +38,10 @@
 
 mod error;
 mod mnb;
-mod permute;
 mod snb;
 mod te;
 
 pub use error::CommError;
 pub use mnb::{mnb_all_port, mnb_sdc, verify_sdc_relay, MnbReport};
-pub use permute::{permutation_traffic, permute_route, PermuteReport};
 pub use snb::{gather_all_port, scatter_all_port, snb_all_port, SnbReport};
 pub use te::{te_all_port, te_sdc, te_single_port, TeReport};

@@ -29,20 +29,27 @@
 //! * exact BFS routing ([`bfs_route`]) and measured property reports
 //!   ([`NetworkReport`]).
 //!
+//! Routes come from one entry per job: [`RoutePlan::route`],
+//! [`RoutePlan::route_into`] and [`RoutePlan::route_chunk`] (plus
+//! [`RoutePlan::pack_labels`] and [`RoutePlan::star_sort_links`] for wire
+//! bytes) for fault-free pairs, [`route_faulty`] around faults,
+//! [`bfs_route`] for exact shortest paths, and [`star_route`] for the star
+//! graph itself.
+//!
 //! # Examples
 //!
 //! Route between two nodes of a macro-star network by emulating the optimal
 //! star route (Theorem 1 guarantees a slowdown of at most 3):
 //!
 //! ```
-//! use scg_core::{apply_path, scg_route, SuperCayleyGraph};
+//! use scg_core::{apply_path, route_plan, SuperCayleyGraph};
 //! use scg_perm::Perm;
 //!
 //! # fn main() -> Result<(), scg_core::CoreError> {
 //! let ms = SuperCayleyGraph::macro_star(3, 2)?;
 //! let from = Perm::from_symbols(&[7, 6, 5, 4, 3, 2, 1])?;
 //! let to = Perm::identity(7);
-//! let path = scg_route(&ms, &from, &to)?;
+//! let path = route_plan(&ms)?.route(&from, &to)?;
 //! assert_eq!(apply_path(&from, &path)?, to);
 //! # Ok(())
 //! # }
@@ -72,11 +79,10 @@ pub use generator::Generator;
 pub use network::CayleyNetwork;
 pub use report::NetworkReport;
 pub use routing::{
-    bfs_route, bubble_distance, bubble_sort_sequence, rotator_sort_sequence, route_batch,
-    route_faulty, scg_route, scg_route_faulty_with, star_diameter, star_dimension_parts,
-    star_distance, star_distance_between, star_route, star_sort_sequence, tn_distance,
-    tn_sort_sequence, BatchState, FaultScratch, PackedPair, RouteBuf, RoutePlan, RoutedPath,
-    MAX_FAULT_DEGREE, MIN_PAIRS_PER_THREAD,
+    bfs_route, bubble_distance, bubble_sort_sequence, rotator_sort_sequence, route_faulty,
+    scg_route_faulty_with, star_diameter, star_dimension_parts, star_distance,
+    star_distance_between, star_route, star_sort_sequence, tn_distance, tn_sort_sequence,
+    BatchState, FaultScratch, PackedPair, RouteBuf, RoutePlan, RoutedPath, MAX_FAULT_DEGREE,
 };
 pub use topology::{
     materialize, route_plan, Materialized, ShardedTopology, TopologyCache, DEFAULT_NET_CAP,

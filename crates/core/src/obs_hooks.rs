@@ -78,7 +78,10 @@ pub(crate) fn plan_build_timer(network: &str) -> Timer {
 }
 
 /// One fault-free emulation route planned by
-/// [`scg_route`](crate::scg_route): records the request and its hop count.
+/// [`RoutePlan::route`](crate::RoutePlan::route) or by a
+/// [`route_faulty`](crate::route_faulty) replan: records the request and
+/// its hop count. The buffer and batch entries (`route_into`,
+/// `route_chunk`, `star_sort_links`) record nothing.
 pub(crate) fn route_planned(network: &str, hops: usize) {
     let labels = [("network", network)];
     let reg = Registry::global();

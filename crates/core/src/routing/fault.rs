@@ -7,9 +7,9 @@
 //! bound on the fallback search). The router is layered
 //! by cost:
 //!
-//! 1. walk the fault-free emulation plan of [`scg_route`] — `O(path)`
-//!    generator applications, no search (planning rides the plan's
-//!    bit-packed `u64` star-sort kernel);
+//! 1. walk the fault-free emulation route of [`RoutePlan::route`] —
+//!    `O(path)` generator applications, no search (planning rides the
+//!    plan's bit-packed `u64` star-sort kernel);
 //! 2. at the first faulted hop, *detour*: re-expand from the failure point
 //!    with the faulted generator masked, preferring an alternative whose
 //!    replanned suffix is verified fault-free (bounded by `2 × degree`
@@ -17,6 +17,9 @@
 //! 3. as the last resort, breadth-first search over the survivor graph —
 //!    complete up to [`DEFAULT_NET_CAP`] reached nodes, so on every
 //!    network of `k ≤ 9` — and convert the node path back to generators.
+//!
+//! That search is the crate's one label BFS: [`bfs_route`] runs it with
+//! no faults and the caller's cap.
 //!
 //! Nothing is materialized. A node is its label as one
 //! [`PackedPerm`] word, a link is one [`Generator::apply_packed`], arrival
@@ -30,7 +33,7 @@
 //! The result is a [`RoutedPath`] report — the generator sequence plus how
 //! much fault handling it took — rather than a bare generator list.
 //!
-//! [`scg_route`]: crate::scg_route
+//! [`bfs_route`]: crate::bfs_route
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -235,34 +238,38 @@ pub fn scg_route_faulty_with(
     SCRATCH.with(|scratch| route_faulty(plan, faults, from, to, &mut scratch.borrow_mut()))
 }
 
-/// What every step of one walk reads: the plan, the faults, the
-/// destination and the prefilter.
-struct Walk<'a> {
-    plan: &'a RoutePlan,
+/// The faults one search or walk avoids, at the network's degree: the
+/// exact set behind its prefilter.
+struct Survivors<'a> {
     faults: &'a FaultSet,
     filter: &'a Prefilter,
     k: usize,
-    dst: PackedPerm,
-    dst_inv: PackedPerm,
 }
 
-impl Walk<'_> {
+impl Survivors<'_> {
     /// The node id of a label: its Lehmer rank.
     #[inline]
     fn id(&self, w: PackedPerm) -> Result<NodeId, CoreError> {
         Ok(rank_u32(w.rank(self.k)?))
     }
 
+    /// Whether `w` may be a failed node or the tail of a failed link.
+    #[inline]
+    fn hits(&self, w: PackedPerm) -> bool {
+        self.filter.hits(w)
+    }
+
     /// Whether node `w` is failed.
     fn node_failed(&self, w: PackedPerm) -> Result<bool, CoreError> {
-        Ok(self.filter.hits(w) && self.faults.node_failed(self.id(w)?))
+        Ok(self.hits(w) && self.faults.node_failed(self.id(w)?))
     }
 
     /// Whether the hop `u → v` is blocked: exact, but ranked only when a
     /// word hits the prefilter. Walks carry each node's hit instead (see
     /// [`exact_blocked`](Self::exact_blocked)), hashing it once.
+    #[inline]
     fn blocked(&self, u: PackedPerm, v: PackedPerm) -> Result<bool, CoreError> {
-        Ok((self.filter.hits(u) || self.filter.hits(v)) && self.exact_blocked(u, v)?)
+        Ok((self.hits(u) || self.hits(v)) && self.exact_blocked(u, v)?)
     }
 
     /// The exact check behind a prefilter hit.
@@ -270,7 +277,18 @@ impl Walk<'_> {
     fn exact_blocked(&self, u: PackedPerm, v: PackedPerm) -> Result<bool, CoreError> {
         Ok(self.faults.blocks(self.id(u)?, self.id(v)?))
     }
+}
 
+/// What every step of one walk reads: the plan, the faults, the
+/// destination and its inverse.
+struct Walk<'a> {
+    plan: &'a RoutePlan,
+    live: Survivors<'a>,
+    dst: PackedPerm,
+    dst_inv: PackedPerm,
+}
+
+impl Walk<'_> {
     /// Replans `from → dst` into `buf` (the plan's packed star-sort over
     /// `dst⁻¹ ∘ from`).
     fn replan(&self, from: PackedPerm, buf: &mut RouteBuf) {
@@ -283,17 +301,28 @@ impl Walk<'_> {
 
     /// Whether walking `hops` from `start` stays on live nodes and links.
     fn is_clean(&self, start: PackedPerm, hops: &[Generator]) -> Result<bool, CoreError> {
-        let (mut cur, mut cur_hit) = (start, self.filter.hits(start));
+        let (mut cur, mut cur_hit) = (start, self.live.hits(start));
         for &g in hops {
-            let v = g.apply_packed(cur, self.k);
-            let v_hit = self.filter.hits(v);
-            if (cur_hit || v_hit) && self.exact_blocked(cur, v)? {
+            let v = g.apply_packed(cur, self.live.k);
+            let v_hit = self.live.hits(v);
+            if (cur_hit || v_hit) && self.live.exact_blocked(cur, v)? {
                 return Ok(false);
             }
             (cur, cur_hit) = (v, v_hit);
         }
         Ok(true)
     }
+}
+
+/// Refuses degrees whose node ids do not fit `u32`.
+fn check_fault_degree(k: usize) -> Result<(), CoreError> {
+    if k > MAX_FAULT_DEGREE {
+        return Err(CoreError::TooLarge {
+            num_nodes: factorial(k),
+            cap: factorial(MAX_FAULT_DEGREE),
+        });
+    }
+    Ok(())
 }
 
 /// The routing core behind [`route_faulty`], without the metric hooks.
@@ -305,12 +334,7 @@ fn walk(
     scratch: &mut FaultScratch,
 ) -> Result<RoutedPath, CoreError> {
     let k = plan.degree_k();
-    if k > MAX_FAULT_DEGREE {
-        return Err(CoreError::TooLarge {
-            num_nodes: factorial(k),
-            cap: factorial(MAX_FAULT_DEGREE),
-        });
-    }
+    check_fault_degree(k)?;
     plan.check_degrees(from, to)?;
     let FaultScratch {
         filter,
@@ -323,13 +347,11 @@ fn walk(
     let dst = PackedPerm::pack(to)?;
     let cx = Walk {
         plan,
-        faults,
-        filter,
-        k,
+        live: Survivors { faults, filter, k },
         dst,
         dst_inv: dst.inverse(),
     };
-    if cx.node_failed(src)? || cx.node_failed(dst)? {
+    if cx.live.node_failed(src)? || cx.live.node_failed(dst)? {
         return Err(CoreError::NoRoute);
     }
     let gens = plan.generators();
@@ -341,7 +363,7 @@ fn walk(
     cx.replan(src, pending);
     let mut hops = Vec::with_capacity(pending.len());
     let mut detours = 0usize;
-    let (mut cur, mut cur_hit) = (src, cx.filter.hits(src));
+    let (mut cur, mut cur_hit) = (src, cx.live.hits(src));
     // `pending[..pos]` is walked and clean; it joins `hops` in one copy
     // when the walk leaves this plan.
     let mut pos = 0usize;
@@ -354,8 +376,8 @@ fn walk(
             return bfs.complete(&cx, cur, hops, detours);
         };
         let v = g.apply_packed(cur, k);
-        let v_hit = cx.filter.hits(v);
-        if !((cur_hit || v_hit) && cx.exact_blocked(cur, v)?) {
+        let v_hit = cx.live.hits(v);
+        if !((cur_hit || v_hit) && cx.live.exact_blocked(cur, v)?) {
             pos += 1;
             (cur, cur_hit) = (v, v_hit);
             continue;
@@ -379,7 +401,7 @@ fn walk(
                 continue;
             }
             let w = alt.apply_packed(cur, k);
-            if cx.blocked(cur, w)? {
+            if cx.live.blocked(cur, w)? {
                 continue;
             }
             if live.is_none() {
@@ -409,7 +431,7 @@ fn walk(
         pos = 0;
         hops.push(gens[ai]);
         cur = gens[ai].apply_packed(cur, k);
-        cur_hit = cx.filter.hits(cur);
+        cur_hit = cx.live.hits(cur);
     }
     hops.extend_from_slice(&pending.hops()[..pos]);
     Ok(RoutedPath {
@@ -417,6 +439,37 @@ fn walk(
         detours,
         fallback_used: false,
     })
+}
+
+/// [`bfs_route`](crate::bfs_route)'s search: a shortest path `from → to`
+/// over the links `gens` make at degree `k`, with no faults, reaching at
+/// most `cap` nodes. Degrees must already match.
+///
+/// # Errors
+///
+/// * [`CoreError::TooLarge`] — `k > 12` ([`MAX_FAULT_DEGREE`]), or more
+///   than `cap` nodes were reached without finding `to`;
+/// * [`CoreError::NoRoute`] — `to` is unreachable from `from`.
+pub(super) fn fault_free_bfs(
+    gens: &[Generator],
+    k: usize,
+    from: &Perm,
+    to: &Perm,
+    cap: u64,
+) -> Result<Vec<Generator>, CoreError> {
+    check_fault_degree(k)?;
+    let faults = FaultSet::new();
+    let mut filter = Prefilter::default();
+    filter.prepare(&faults, k)?;
+    let live = Survivors {
+        faults: &faults,
+        filter: &filter,
+        k,
+    };
+    let (src, dst) = (PackedPerm::pack(from)?, PackedPerm::pack(to)?);
+    let mut hops = Vec::new();
+    Bfs::default().find(gens, &live, src, dst, cap, &mut hops)?;
+    Ok(hops)
 }
 
 /// The most nodes one fallback search may reach before it gives up with
@@ -438,8 +491,8 @@ struct Visit {
     slot: u32,
 }
 
-/// Survivor BFS over labels, reaching at most [`FALLBACK_CAP`] nodes. The
-/// queue is never popped, so it doubles as the parent tree.
+/// Survivor BFS over labels. The queue is never popped, so it doubles as
+/// the parent tree.
 #[derive(Debug, Default)]
 struct Bfs {
     visited: HashSet<NodeId>,
@@ -451,11 +504,8 @@ struct Bfs {
 
 impl Bfs {
     /// Finishes a route at `src` with a shortest survivor path to
-    /// `cx.dst`, appended to the `hops` walked so far.
-    ///
-    /// Neighbours are expanded in ascending id, and a hop is named by the
-    /// lowest generator slot that makes it: the order of the materialized
-    /// graph's sorted CSR, so the path is the one a BFS over it finds.
+    /// `cx.dst`, reaching at most [`FALLBACK_CAP`] nodes, appended to the
+    /// `hops` walked so far.
     fn complete(
         &mut self,
         cx: &Walk<'_>,
@@ -463,10 +513,40 @@ impl Bfs {
         mut hops: Vec<Generator>,
         detours: usize,
     ) -> Result<RoutedPath, CoreError> {
-        let found = self.explore(cx, src);
-        let start = hops.len();
-        if let Ok(Some(at)) = &found {
-            let (gens, mut at) = (cx.plan.generators(), *at);
+        let gens = cx.plan.generators();
+        self.find(gens, &cx.live, src, cx.dst, FALLBACK_CAP, &mut hops)?;
+        Ok(RoutedPath {
+            hops,
+            detours,
+            fallback_used: true,
+        })
+    }
+
+    /// Appends a shortest path `src → dst` over the links of `gens` that
+    /// `live` leaves up to `hops`.
+    ///
+    /// Neighbours are expanded in ascending id, and a hop is named by the
+    /// lowest generator slot that makes it: the order of the materialized
+    /// graph's sorted CSR, so the path is the one a BFS over it finds.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::TooLarge`] — more than `cap` nodes were reached
+    ///   without finding `dst`;
+    /// * [`CoreError::NoRoute`] — the survivors do not connect `dst` to
+    ///   `src`.
+    fn find(
+        &mut self,
+        gens: &[Generator],
+        live: &Survivors<'_>,
+        src: PackedPerm,
+        dst: PackedPerm,
+        cap: u64,
+        hops: &mut Vec<Generator>,
+    ) -> Result<(), CoreError> {
+        let found = self.explore(gens, live, src, dst, cap);
+        if let Ok(Some(mut at)) = found {
+            let start = hops.len();
             while at != 0 {
                 let v = self.queue[at];
                 hops.push(gens[v.slot as usize]);
@@ -478,30 +558,24 @@ impl Bfs {
         self.visited.shrink_to(FALLBACK_RETAIN);
         self.queue.clear();
         self.queue.shrink_to(FALLBACK_RETAIN);
-        match found? {
-            Some(_) => Ok(RoutedPath {
-                hops,
-                detours,
-                fallback_used: true,
-            }),
-            None => Err(CoreError::NoRoute),
-        }
+        found?.map(|_| ()).ok_or(CoreError::NoRoute)
     }
 
-    /// Runs the search; returns the queue index of the destination, if
-    /// reached.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::TooLarge`] once more than [`FALLBACK_CAP`] nodes are
-    /// reached without finding the destination.
-    fn explore(&mut self, cx: &Walk<'_>, src: PackedPerm) -> Result<Option<usize>, CoreError> {
+    /// Runs the search; returns the queue index of `dst`, if reached.
+    fn explore(
+        &mut self,
+        gens: &[Generator],
+        live: &Survivors<'_>,
+        src: PackedPerm,
+        dst: PackedPerm,
+        cap: u64,
+    ) -> Result<Option<usize>, CoreError> {
         let Bfs {
             visited,
             queue,
             nbrs,
         } = self;
-        visited.insert(cx.id(src)?);
+        visited.insert(live.id(src)?);
         queue.push(Visit {
             word: src,
             parent: 0,
@@ -510,14 +584,14 @@ impl Bfs {
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
             nbrs.clear();
-            for (slot, g) in cx.plan.generators().iter().enumerate() {
-                let w = g.apply_packed(u.word, cx.k);
-                nbrs.push((cx.id(w)?, len_u32(slot), w));
+            for (slot, g) in gens.iter().enumerate() {
+                let w = g.apply_packed(u.word, live.k);
+                nbrs.push((live.id(w)?, len_u32(slot), w));
             }
             // Stable: among equal ids the lowest slot stays first.
             nbrs.sort_by_key(|&(id, ..)| id);
             for &(id, slot, w) in nbrs.iter() {
-                if cx.blocked(u.word, w)? || !visited.insert(id) {
+                if live.blocked(u.word, w)? || !visited.insert(id) {
                     continue;
                 }
                 queue.push(Visit {
@@ -525,13 +599,13 @@ impl Bfs {
                     parent: len_u32(head),
                     slot,
                 });
-                if w == cx.dst {
+                if w == dst {
                     return Ok(Some(queue.len() - 1));
                 }
-                if queue.len() as u64 > FALLBACK_CAP {
+                if queue.len() as u64 > cap {
                     return Err(CoreError::TooLarge {
-                        num_nodes: factorial(cx.k),
-                        cap: FALLBACK_CAP,
+                        num_nodes: factorial(live.k),
+                        cap,
                     });
                 }
             }
@@ -546,7 +620,7 @@ mod tests {
     use super::*;
     use crate::classes::apply_path;
     use crate::network::CayleyNetwork;
-    use crate::routing::{scg_route, star_distance_between};
+    use crate::routing::star_distance_between;
     use crate::topology::{materialize, route_plan, SMALL_NET_CAP};
     use scg_perm::XorShift64;
 
@@ -561,21 +635,75 @@ mod tests {
         cur
     }
 
+    /// The ten classes at `k = 5`, the directed rotator classes included.
+    fn ten_classes_k5() -> Vec<SuperCayleyGraph> {
+        vec![
+            SuperCayleyGraph::macro_star(2, 2).unwrap(),
+            SuperCayleyGraph::rotation_star(2, 2).unwrap(),
+            SuperCayleyGraph::complete_rotation_star(2, 2).unwrap(),
+            SuperCayleyGraph::macro_rotator(2, 2).unwrap(),
+            SuperCayleyGraph::rotation_rotator(2, 2).unwrap(),
+            SuperCayleyGraph::complete_rotation_rotator(2, 2).unwrap(),
+            SuperCayleyGraph::insertion_selection(5).unwrap(),
+            SuperCayleyGraph::macro_is(2, 2).unwrap(),
+            SuperCayleyGraph::rotation_is(2, 2).unwrap(),
+            SuperCayleyGraph::complete_rotation_is(2, 2).unwrap(),
+        ]
+    }
+
+    /// With no faults the walk follows the emulation route and stops at
+    /// its first arrival at `to`. An emulation route need not be simple:
+    /// on the rotator and MIS/RIS classes some pass `to` before their last
+    /// hop (MR(2,2) routes one pair as `I_3 I_2 I_2`, and `I_2` is an
+    /// involution), so there the walk is a strict prefix of it.
     #[test]
     fn fault_free_routing_matches_emulation_route() {
-        let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
-        let plan = route_plan(&net).unwrap();
         let mut scratch = FaultScratch::new();
         let mut rng = XorShift64::new(17);
         let faults = FaultSet::new();
-        for _ in 0..20 {
-            let from = Perm::random(5, &mut rng);
-            let to = Perm::random(5, &mut rng);
-            let routed = route_faulty(&plan, &faults, &from, &to, &mut scratch).unwrap();
-            assert_eq!(routed.hops, scg_route(&net, &from, &to).unwrap());
-            assert_eq!(routed.detours, 0);
-            assert!(!routed.fallback_used);
-            assert_eq!(apply_path(&from, &routed.hops).unwrap(), to);
+        for net in ten_classes_k5() {
+            let plan = route_plan(&net).unwrap();
+            for _ in 0..20 {
+                let from = Perm::random(5, &mut rng);
+                let to = Perm::random(5, &mut rng);
+                let routed = route_faulty(&plan, &faults, &from, &to, &mut scratch).unwrap();
+                let full = plan.route(&from, &to).unwrap();
+                let first = (0..=full.len())
+                    .find(|&i| apply_path(&from, &full[..i]).unwrap() == to)
+                    .unwrap();
+                assert_eq!(routed.hops, full[..first], "{}", net.name());
+                assert_eq!(routed.detours, 0);
+                assert!(!routed.fallback_used);
+                assert_eq!(apply_path(&from, &routed.hops).unwrap(), to);
+            }
+        }
+    }
+
+    /// `bfs_route` runs the fallback search with no faults: from three
+    /// seeded sources to all 120 destinations of each `k = 5` class, its
+    /// length is the materialized graph's BFS distance and its path
+    /// arrives.
+    #[test]
+    fn bfs_route_matches_materialized_distances_on_ten_k5_classes() {
+        let mut rng = XorShift64::new(53);
+        for net in ten_classes_k5() {
+            let mat = materialize(&net, SMALL_NET_CAP).unwrap();
+            for _ in 0..3 {
+                let src = rng.gen_range(mat.num_nodes()) as NodeId;
+                let dist = mat.graph().bfs_distances(src);
+                let from = mat.node_label(src).unwrap();
+                for dst in 0..mat.num_nodes() as NodeId {
+                    let to = mat.node_label(dst).unwrap();
+                    let path = crate::bfs_route(&net, &from, &to, SMALL_NET_CAP).unwrap();
+                    assert_eq!(
+                        path.len() as u32,
+                        dist[dst as usize],
+                        "{} {src}->{dst}",
+                        net.name()
+                    );
+                    assert_eq!(apply_path(&from, &path).unwrap(), to);
+                }
+            }
         }
     }
 

@@ -24,6 +24,13 @@
 //! [`RoutePlan::route_chunk`], which keeps per-pair state in parallel
 //! `u64` lanes ([`BatchState`]) so the pack pass autovectorizes.
 //!
+//! A plan is the one place fault-free routes come from:
+//! [`RoutePlan::route`] for one pair, [`RoutePlan::route_into`] into a
+//! reused buffer, [`RoutePlan::route_chunk`] for a slice of pairs, and
+//! [`RoutePlan::pack_labels`] with [`RoutePlan::star_sort_links`] for
+//! wire bytes. [`route_faulty`](crate::route_faulty) walks its routes
+//! around faults.
+//!
 //! Plans are cached per network inside the shared
 //! [`TopologyCache`](crate::TopologyCache) (see [`route_plan`](crate::route_plan)),
 //! so routing, communication, embedding, and emulation all compile each
@@ -458,8 +465,19 @@ impl RoutePlan {
         Ok(())
     }
 
-    /// Convenience wrapper over [`route_into`](RoutePlan::route_into)
-    /// that allocates a fresh result vector.
+    /// Routes `from → to` by emulating the optimal star route, each star
+    /// link expanded per Theorems 1–3, into a fresh vector: the entry for
+    /// one pair. The path has at most `star_dilation() ×
+    /// star_distance(from, to)` hops; it is not necessarily a shortest
+    /// path in the host (that is [`bfs_route`](crate::bfs_route)), but it
+    /// is within the constant factor the paper proves. The rotator classes
+    /// route through the insertion-cycle realization of transpositions
+    /// (`T_x = I_{x-1}^{x-2}∘I_x`), an extension beyond the paper's stated
+    /// theorems.
+    ///
+    /// Callers routing many pairs should reuse a buffer through
+    /// [`route_into`](RoutePlan::route_into) or route slices through
+    /// [`route_chunk`](RoutePlan::route_chunk).
     ///
     /// # Errors
     ///
@@ -467,6 +485,8 @@ impl RoutePlan {
     pub fn route(&self, from: &Perm, to: &Perm) -> Result<Vec<Generator>, CoreError> {
         let mut buf = self.new_buf();
         self.route_into(from, to, &mut buf)?;
+        #[cfg(feature = "obs")]
+        crate::obs_hooks::route_planned(self.name(), buf.len());
         Ok(buf.into_hops())
     }
 }

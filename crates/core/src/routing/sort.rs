@@ -71,9 +71,9 @@ pub fn bubble_sort_sequence(p: &Perm) -> Vec<Generator> {
 /// `k−1`, …), costing at most `k(k+1)/2 − 1` moves.
 ///
 /// Not minimum-length (rotator shortest paths require a more intricate
-/// cycle analysis; use [`bfs_route`](crate::bfs_route) for exact
-/// distances), but valid on every insertion-generated network and within a
-/// factor `O(k)` of optimal.
+/// cycle analysis; [`bfs_route`](crate::bfs_route), the crate's exact
+/// router, finds those), but valid on every insertion-generated network
+/// and within a factor `O(k)` of optimal.
 #[must_use]
 pub fn rotator_sort_sequence(p: &Perm) -> Vec<Generator> {
     let mut cur = *p;

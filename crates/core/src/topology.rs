@@ -223,7 +223,7 @@ pub struct TopologyCache {
     /// Compiled route planners. Kept separate from `entries` because
     /// plans cost `O(k²)` to build (no node-count cap applies) and are
     /// wanted for networks far too large to materialize; keyed by the
-    /// Copy `(class, l, n)` triple so the hot `scg_route` lookup never
+    /// Copy `(class, l, n)` triple so the hot `route_plan` lookup never
     /// formats a name `String`.
     plans: Mutex<HashMap<(ScgClass, usize, usize), Arc<RoutePlan>>>,
 }

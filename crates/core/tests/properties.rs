@@ -3,7 +3,7 @@
 //! is not available).
 
 use scg_core::{
-    apply_path, scg_route, star_distance, star_distance_between, star_route, star_sort_sequence,
+    apply_path, star_distance, star_distance_between, star_route, star_sort_sequence,
     CayleyNetwork, Generator, RoutePlan, SuperCayleyGraph,
 };
 use scg_perm::{factorial, Perm, XorShift64};
@@ -77,11 +77,12 @@ fn scg_route_endpoint_and_bound() {
     for (l, n) in SHAPES {
         let k = l * n + 1;
         let host = SuperCayleyGraph::macro_star(l, n).unwrap();
-        let dilation = RoutePlan::build(&host).unwrap().star_dilation();
+        let plan = RoutePlan::build(&host).unwrap();
+        let dilation = plan.star_dilation();
         for _ in 0..8 {
             let from = rand_perm(k, &mut rng);
             let to = rand_perm(k, &mut rng);
-            let path = scg_route(&host, &from, &to).unwrap();
+            let path = plan.route(&from, &to).unwrap();
             assert_eq!(apply_path(&from, &path).unwrap(), to);
             assert!(path.len() as u32 <= dilation as u32 * star_distance_between(&from, &to));
             // Every link on the path is a defined host generator.

@@ -54,7 +54,8 @@ pub const MAX_PACKED_DEGREE: usize = 16;
 pub const PACKED_IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
 
 /// A permutation of `1..=k`, `k ≤ 16`, packed 4 bits per symbol into one
-/// `u64` (see the [module docs](self) for the layout).
+/// `u64`: nibble `i` holds the 0-based symbol at position `i + 1`, and the
+/// nibbles above `k` hold the identity padding of [`PACKED_IDENTITY`].
 ///
 /// The type is deliberately a bare word: it is `Copy`, 8 bytes, and every
 /// group operation is straight-line integer arithmetic. Degrees are not

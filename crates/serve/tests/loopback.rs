@@ -3,7 +3,7 @@
 //! oversize, garbage — typed errors, never panics), and a live daemon
 //! driven over its loopback Unix-domain and TCP listeners.
 
-use scg_core::{apply_path, scg_route, CayleyNetwork, ScgClass};
+use scg_core::{apply_path, route_plan, CayleyNetwork, ScgClass};
 use scg_graph::ChaosEvent;
 use scg_perm::{Perm, XorShift64};
 use scg_serve::wire::{
@@ -55,12 +55,10 @@ fn seeded_requests(seed: u64) -> Vec<Request> {
 
 fn seeded_replies(seed: u64) -> Vec<Reply> {
     let mut rng = XorShift64::new(seed);
-    let hops = scg_route(
-        &ms22().to_net().expect("net"),
-        &Perm::random(5, &mut rng),
-        &Perm::identity(5),
-    )
-    .expect("route");
+    let hops = route_plan(&ms22().to_net().expect("net"))
+        .expect("plan")
+        .route(&Perm::random(5, &mut rng), &Perm::identity(5))
+        .expect("route");
     vec![
         Reply::RouteOk {
             flags: 1,
@@ -244,8 +242,11 @@ fn daemon_serves_full_protocol_over_loopback() {
         };
         assert_eq!(flags, 0, "clean path must not set degraded flags");
         assert_eq!(apply_path(&from, &hops).expect("apply"), to);
-        let direct = scg_route(&net, &from, &to).expect("scg_route");
-        assert_eq!(hops, direct, "daemon route differs from scg_route");
+        let direct = route_plan(&net)
+            .expect("plan")
+            .route(&from, &to)
+            .expect("route");
+        assert_eq!(hops, direct, "daemon route differs from the plan's route");
     }
 
     // Batches deliver every pair; sustained traffic does not stall.
@@ -479,7 +480,10 @@ fn fault_reports_are_served_to_k12_and_refused_above() {
     // At k = 12, fail the first node of a clean route; the daemon detours.
     let mut rng = XorShift64::new(0x12);
     let (from, to) = (Perm::random(12, &mut rng), Perm::random(12, &mut rng));
-    let clean = scg_route(&is(12).to_net().expect("net"), &from, &to).expect("route");
+    let clean = route_plan(&is(12).to_net().expect("net"))
+        .expect("plan")
+        .route(&from, &to)
+        .expect("route");
     let first = clean[0].apply(&from).expect("apply");
     let node = u32::try_from(first.rank()).expect("12! fits u32");
     match client
@@ -638,7 +642,10 @@ fn frame_type_and_err_code_tables_are_stable() {
 /// The reply bytes the daemon owes a clean ROUTE: the in-process
 /// router's hops, encoded.
 fn clean_route_reply(net: NetId, from: &Perm, to: &Perm) -> Vec<u8> {
-    let hops = scg_route(&net.to_net().expect("net"), from, to).expect("route");
+    let hops = route_plan(&net.to_net().expect("net"))
+        .expect("plan")
+        .route(from, to)
+        .expect("route");
     encode_reply(&Reply::RouteOk { flags: 0, hops })
 }
 

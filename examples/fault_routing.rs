@@ -4,8 +4,8 @@
 //! Run with `cargo run --release --example fault_routing`.
 
 use supercayley::core::{
-    materialize, route_faulty, route_plan, scg_route, CayleyNetwork, FaultScratch,
-    SuperCayleyGraph, SMALL_NET_CAP,
+    materialize, route_faulty, route_plan, CayleyNetwork, FaultScratch, SuperCayleyGraph,
+    SMALL_NET_CAP,
 };
 use supercayley::graph::{vertex_connectivity, FaultSet, SurvivorView};
 use supercayley::perm::{Perm, XorShift64};
@@ -22,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The fault-free emulation route between two nodes.
     let from: Perm = "5 4 3 2 1".parse()?;
     let to = Perm::identity(5);
-    let plan = scg_route(&ms, &from, &to)?;
-    println!("fault-free route: {} hops", plan.len());
+    let clean = route_plan(&ms)?.route(&from, &to)?;
+    println!("fault-free route: {} hops", clean.len());
 
     // Fail the first link of that route, plus a random node elsewhere
     // (degree − 1 = 2 faults total — the worst case the theory covers).
     let src = mat.node_id(&from)?;
-    let first_gen = ms.generators().iter().position(|g| *g == plan[0]).unwrap();
+    let first_gen = ms.generators().iter().position(|g| *g == clean[0]).unwrap();
     let first_hop = mat.neighbor_id(src, first_gen);
     let mut faults = FaultSet::new();
     faults.fail_link(src, first_hop);

@@ -4,8 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use supercayley::core::{
-    apply_path, route_plan, scg_route, star_distance_between, CayleyNetwork, NetworkReport,
-    SuperCayleyGraph,
+    apply_path, route_plan, star_distance_between, CayleyNetwork, NetworkReport, SuperCayleyGraph,
 };
 use supercayley::perm::Perm;
 
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // link costs at most 3 host links).
     let from: Perm = "7 6 5 4 3 2 1".parse()?;
     let to = Perm::identity(7);
-    let path = scg_route(&ms, &from, &to)?;
+    let path = route_plan(&ms)?.route(&from, &to)?;
     println!("\nroute {} -> {}:", from, to);
     println!(
         "  {} host hops for star distance {} (slowdown bound {})",

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use supercayley::bag::{BagConfig, BagGame};
 use supercayley::comm::{mnb_all_port, te_all_port};
-use supercayley::core::{apply_path, scg_route, NetworkReport, ScgClass, SuperCayleyGraph};
+use supercayley::core::{apply_path, route_plan, NetworkReport, ScgClass, SuperCayleyGraph};
 use supercayley::emu::AllPortSchedule;
 use supercayley::perm::Perm;
 
@@ -80,7 +80,9 @@ fn run() -> Result<(), String> {
                     }
                     let from: Perm = args[4].parse().map_err(|e| format!("bad <from>: {e}"))?;
                     let to: Perm = args[5].parse().map_err(|e| format!("bad <to>: {e}"))?;
-                    let path = scg_route(&host, &from, &to).map_err(|e| e.to_string())?;
+                    let path = route_plan(&host)
+                        .and_then(|plan| plan.route(&from, &to))
+                        .map_err(|e| e.to_string())?;
                     println!("{} hops:", path.len());
                     let mut cur = from;
                     for g in &path {

@@ -29,7 +29,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use supercayley::core::{apply_path, scg_route, CayleyNetwork, SuperCayleyGraph};
+//! use supercayley::core::{apply_path, route_plan, CayleyNetwork, SuperCayleyGraph};
 //! use supercayley::perm::Perm;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,11 +37,12 @@
 //! let ms = SuperCayleyGraph::macro_star(3, 2)?;
 //! assert_eq!(ms.num_nodes(), 5040);
 //!
-//! // Route between two nodes by emulating the optimal star-graph route;
-//! // Theorem 1 bounds the cost at 3x the star distance.
+//! // Route between two nodes by emulating the optimal star-graph route
+//! // through the network's compiled plan, the one source of fault-free
+//! // routes; Theorem 1 bounds the cost at 3x the star distance.
 //! let from: Perm = "7 6 5 4 3 2 1".parse()?;
 //! let to = Perm::identity(7);
-//! let path = scg_route(&ms, &from, &to)?;
+//! let path = route_plan(&ms)?.route(&from, &to)?;
 //! assert_eq!(apply_path(&from, &path)?, to);
 //! # Ok(())
 //! # }

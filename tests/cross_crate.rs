@@ -4,8 +4,7 @@
 //! available).
 
 use supercayley::core::{
-    apply_path, materialize, route_plan, scg_route, CayleyNetwork, Generator, SuperCayleyGraph,
-    SMALL_NET_CAP,
+    apply_path, materialize, route_plan, CayleyNetwork, Generator, SuperCayleyGraph, SMALL_NET_CAP,
 };
 use supercayley::emu::{AllPortSchedule, NextHop, Packet, PortModel, Router, SyncSim, TableRouter};
 use supercayley::perm::{factorial, Perm, XorShift64};
@@ -28,11 +27,12 @@ fn routing_pipeline() {
     let mut rng = XorShift64::new(61);
     for pick in 0u8..6 {
         let host = host_for(pick);
-        let dilation = route_plan(&host).unwrap().star_dilation();
+        let plan = route_plan(&host).unwrap();
+        let dilation = plan.star_dilation();
         for _ in 0..8 {
             let from = Perm::from_rank(7, rng.gen_range_u64(factorial(7))).unwrap();
             let to = Perm::from_rank(7, rng.gen_range_u64(factorial(7))).unwrap();
-            let path = scg_route(&host, &from, &to).unwrap();
+            let path = plan.route(&from, &to).unwrap();
             assert_eq!(apply_path(&from, &path).unwrap(), to);
             for g in &path {
                 assert!(

@@ -8,14 +8,14 @@
 //! values; CI runs the suite both with `--features obs` and without, and
 //! the same constants must hold on both legs.
 //!
-//! The routing-metrics golden drives a fixed-seed `scg_route` sweep on
+//! The routing-metrics golden drives a fixed-seed `RoutePlan::route` sweep on
 //! MS(2,2) and RS(2,2) through a *local* [`Registry`] (the global one is
 //! shared across concurrently running tests) and compares the text
 //! exposition byte-for-byte against `tests/golden/route_metrics.txt`.
 
 use supercayley::core::{
-    materialize, route_plan, scg_route, star_distance_between, CayleyNetwork, ScgClass,
-    SuperCayleyGraph, SMALL_NET_CAP,
+    materialize, route_plan, star_distance_between, CayleyNetwork, ScgClass, SuperCayleyGraph,
+    SMALL_NET_CAP,
 };
 use supercayley::emu::{Packet, PortModel, SimStats, SyncSim, TableRouter};
 use supercayley::graph::{FaultSet, NodeId, SurvivorView};
@@ -107,7 +107,7 @@ fn delivered_ratio_of_empty_run_is_one() {
     assert!(zero.delivered_ratio().is_finite());
 }
 
-/// Fixed-seed `scg_route` sweep on MS(2,2) and RS(2,2), recorded into a
+/// Fixed-seed `RoutePlan::route` sweep on MS(2,2) and RS(2,2), recorded into a
 /// local registry. Every hop count is cross-checked against the Theorem 1
 /// dilation bound while the histograms fill.
 fn route_sweep_snapshot() -> Snapshot {
@@ -119,7 +119,8 @@ fn route_sweep_snapshot() -> Snapshot {
         let name = net.name();
         let labels = [("network", name.as_str())];
         let mat = materialize(&net, SMALL_NET_CAP).expect("120 nodes under cap");
-        let dilation = route_plan(&net).expect("plan compiles").star_dilation() as u32;
+        let plan = route_plan(&net).expect("plan compiles");
+        let dilation = plan.star_dilation() as u32;
         let requests = reg.counter("route_requests_total", &labels);
         let hops = reg.histogram("route_hops", &labels, &HOPS_BOUNDS);
         let mut rng = XorShift64::new(0x60_1D);
@@ -131,7 +132,7 @@ fn route_sweep_snapshot() -> Snapshot {
             }
             let from = mat.node_label(s).expect("rank in range");
             let to = mat.node_label(d).expect("rank in range");
-            let path = scg_route(&net, &from, &to).expect("route exists");
+            let path = plan.route(&from, &to).expect("route exists");
             assert!(
                 path.len() as u32 <= dilation * star_distance_between(&from, &to),
                 "{name}: {s}->{d} exceeded the dilation bound"
@@ -207,7 +208,7 @@ fn hooks_populate_global_registry() {
 }
 
 /// The route planner leaves its own footprint: a build-time histogram
-/// sample plus cache hit/miss counters, and repeated `scg_route` calls on
+/// sample plus cache hit/miss counters, and repeated `route_plan` lookups on
 /// a warm plan only move the hit counter.
 #[cfg(feature = "obs")]
 #[test]
@@ -225,13 +226,17 @@ fn planner_hooks_populate_global_registry() {
     let to = supercayley::perm::Perm::random(5, &mut rng);
     // First call may build (miss) or reuse a plan another test compiled;
     // either way it must count exactly one lookup.
-    scg_route(&net, &from, &to).expect("route");
-    scg_route(&net, &from, &to).expect("route");
+    for _ in 0..2 {
+        route_plan(&net)
+            .expect("plan")
+            .route(&from, &to)
+            .expect("route");
+    }
     let hits_after = hits.get();
     let misses_after = misses.get();
     assert!(
         hits_after - hits_before >= 1,
-        "second scg_route call did not hit the plan cache"
+        "second route_plan lookup did not hit the plan cache"
     );
     assert!(
         misses_after >= 1,
@@ -300,6 +305,7 @@ fn serve_replies_are_byte_identical_across_obs_legs() {
     };
     let net = net_id.to_net().expect("MS(2,2) constructs");
     let mat = materialize(&net, SMALL_NET_CAP).expect("120 nodes under cap");
+    let plan = route_plan(&net).expect("plan compiles");
     let mut rng = XorShift64::new(0x0B5_5EED);
     let k = net.degree_k();
     let mut client = Client::connect_uds(&sock).expect("connect");
@@ -334,7 +340,7 @@ fn serve_replies_are_byte_identical_across_obs_legs() {
         recv_frame(&mut client),
         expect_frame(&Reply::RouteOk {
             flags: 0,
-            hops: scg_route(&net, &from, &to).expect("route"),
+            hops: plan.route(&from, &to).expect("route"),
         }),
         "ROUTE reply bytes diverged"
     );
@@ -353,7 +359,7 @@ fn serve_replies_are_byte_identical_across_obs_legs() {
                 .map(|(f, t)| BatchItem {
                     status: 0,
                     flags: 0,
-                    hops: scg_route(&net, f, t).expect("route"),
+                    hops: plan.route(f, t).expect("route"),
                 })
                 .collect(),
         )),

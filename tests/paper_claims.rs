@@ -38,9 +38,7 @@ fn te_tradeoff_shape() {
 /// samples on one class per dilation constant.
 #[test]
 fn routed_hops_respect_dilation_bounds() {
-    use supercayley::core::{
-        materialize, route_plan, scg_route, star_distance_between, SMALL_NET_CAP,
-    };
+    use supercayley::core::{materialize, route_plan, star_distance_between, SMALL_NET_CAP};
     for net in [
         SuperCayleyGraph::macro_star(2, 2).unwrap(), // dilation 3
         SuperCayleyGraph::rotation_star(2, 2).unwrap(), // dilation 3
@@ -48,14 +46,15 @@ fn routed_hops_respect_dilation_bounds() {
         SuperCayleyGraph::macro_is(2, 2).unwrap(),   // dilation 4
     ] {
         let mat = materialize(&net, SMALL_NET_CAP).unwrap();
-        let dilation = route_plan(&net).unwrap().star_dilation() as u32;
+        let plan = route_plan(&net).unwrap();
+        let dilation = plan.star_dilation() as u32;
         let mut rng = supercayley::perm::XorShift64::new(0xD11A);
         for _ in 0..50 {
             let s = rng.gen_range(mat.num_nodes()) as supercayley::graph::NodeId;
             let d = rng.gen_range(mat.num_nodes()) as supercayley::graph::NodeId;
             let from = mat.node_label(s).unwrap();
             let to = mat.node_label(d).unwrap();
-            let path = scg_route(&net, &from, &to).unwrap();
+            let path = plan.route(&from, &to).unwrap();
             assert!(
                 path.len() as u32 <= dilation * star_distance_between(&from, &to),
                 "{}: {s}->{d} took {} hops",

@@ -1,11 +1,11 @@
-//! Cross-crate checks of the compiled route planner: batch routing equals
-//! sequential routing, and every planned route respects the Theorem 1–3
+//! Cross-crate checks of the compiled route planner: chunked routing
+//! equals per-pair routing, and every planned route respects the Theorem 1–3
 //! dilation bound. (Plan lookups are checked against the star emulation
 //! that builds them inside `scg-core`.)
 
 use supercayley::core::{
-    apply_path, route_batch, route_plan, scg_route, star_diameter, star_distance_between,
-    CayleyNetwork, CoreError, Generator, SuperCayleyGraph, MIN_PAIRS_PER_THREAD,
+    apply_path, route_plan, star_diameter, star_distance_between, CayleyNetwork, CoreError,
+    Generator, SuperCayleyGraph,
 };
 use supercayley::perm::{Perm, XorShift64};
 
@@ -24,62 +24,40 @@ fn all_classes_small() -> Vec<SuperCayleyGraph> {
     ]
 }
 
-/// `route_batch` at any requested thread count returns exactly the routes
-/// sequential `scg_route` produces, in input order.
+/// `route_chunk` over a whole pair list returns exactly the routes
+/// `RoutePlan::route` gives each pair, in input order.
 #[test]
-fn route_batch_equals_sequential_routing() {
+fn route_chunk_equals_sequential_routing() {
     let mut rng = XorShift64::new(0x9A7E);
     for net in all_classes_small() {
+        let plan = route_plan(&net).unwrap();
         let k = net.degree_k();
         let pairs: Vec<(Perm, Perm)> = (0..64)
             .map(|_| (Perm::random(k, &mut rng), Perm::random(k, &mut rng)))
             .collect();
-        for threads in [1, 3, 8] {
-            let batch = route_batch(&net, &pairs, threads).unwrap();
-            assert_eq!(batch.len(), pairs.len());
-            for (route, (from, to)) in batch.iter().zip(&pairs) {
-                assert_eq!(
-                    route,
-                    &scg_route(&net, from, to).unwrap(),
-                    "{} threads={threads}",
-                    net.name()
-                );
-            }
+        let mut out = vec![Vec::new(); pairs.len()];
+        plan.route_chunk(&pairs, &mut out, &mut plan.new_batch_state())
+            .unwrap();
+        for (route, (from, to)) in out.iter().zip(&pairs) {
+            assert_eq!(route, &plan.route(from, to).unwrap(), "{}", net.name());
         }
     }
 }
 
-/// Packed batch routing is a pure function of the pairs: seeded pair sets
-/// route to byte-identical paths whatever the thread count, with
-/// sequential `route_into` on a held plan as the reference. `route_batch`
-/// gives each thread at least `MIN_PAIRS_PER_THREAD` pairs, so the 64-pair
-/// sets on the `k = 5` classes run on the caller's thread at every thread
-/// count. The `2 * MIN_PAIRS_PER_THREAD + 1`-pair sets on MS(2,2) and
-/// MS(4,2) fan out to two threads (chunks of 2 049 and 2 048 pairs) at 2
-/// and 3 threads; there a degree-mismatched pair in the last chunk must
-/// come back as the batch's error.
+/// Packed batch routing is a pure function of the pairs: the same seeded
+/// pairs split into chunks of 64, 10 and 1, all through one reused
+/// `BatchState`, route to the paths sequential `route_into` gives. A
+/// degree-mismatched last pair comes back as that pair's error, and no
+/// `out` slot of its chunk is written.
 #[test]
-fn route_batch_output_is_independent_of_chunking_and_threads() {
+fn route_chunk_output_is_independent_of_chunking() {
     let mut rng = XorShift64::new(0xC4053);
-    let fan_out = 2 * MIN_PAIRS_PER_THREAD + 1;
-    let mut inputs: Vec<(SuperCayleyGraph, usize, &[usize])> = all_classes_small()
-        .into_iter()
-        .map(|net| (net, 64, &[64, 10, 1][..]))
-        .collect();
-    inputs.push((
-        SuperCayleyGraph::macro_star(2, 2).unwrap(),
-        fan_out,
-        &[1, 2, 3],
-    ));
-    inputs.push((
-        SuperCayleyGraph::macro_star(4, 2).unwrap(),
-        fan_out,
-        &[1, 2, 3],
-    ));
-    for (net, n, thread_counts) in inputs {
+    let mut nets = all_classes_small();
+    nets.push(SuperCayleyGraph::macro_star(4, 2).unwrap());
+    for net in nets {
         let plan = route_plan(&net).unwrap();
         let k = net.degree_k();
-        let mut pairs: Vec<(Perm, Perm)> = (0..n)
+        let mut pairs: Vec<(Perm, Perm)> = (0..64)
             .map(|_| (Perm::random(k, &mut rng), Perm::random(k, &mut rng)))
             .collect();
         let mut buf = plan.new_buf();
@@ -90,26 +68,26 @@ fn route_batch_output_is_independent_of_chunking_and_threads() {
                 buf.hops().to_vec()
             })
             .collect();
-        for &threads in thread_counts {
-            assert_eq!(
-                route_batch(&net, &pairs, threads).unwrap(),
-                reference,
-                "{} n={n} threads={threads}",
-                net.name()
-            );
+        let mut state = plan.new_batch_state();
+        for chunk in [64, 10, 1] {
+            let mut out = vec![Vec::new(); pairs.len()];
+            for (pair_chunk, out_chunk) in pairs.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                plan.route_chunk(pair_chunk, out_chunk, &mut state).unwrap();
+            }
+            assert_eq!(out, reference, "{} chunk={chunk}", net.name());
         }
-        if n == fan_out {
-            pairs[n - 1].1 = Perm::identity(k + 1);
-            assert_eq!(
-                route_batch(&net, &pairs, 2),
-                Err(CoreError::DegreeMismatch {
-                    expected: k,
-                    found: k + 1
-                }),
-                "{}",
-                net.name()
-            );
-        }
+        pairs[63].1 = Perm::identity(k + 1);
+        let mut out = vec![Vec::new(); pairs.len()];
+        assert_eq!(
+            plan.route_chunk(&pairs, &mut out, &mut state),
+            Err(CoreError::DegreeMismatch {
+                expected: k,
+                found: k + 1
+            }),
+            "{}",
+            net.name()
+        );
+        assert!(out.iter().all(Vec::is_empty), "{}", net.name());
     }
 }
 
@@ -175,18 +153,17 @@ fn plan_cache_shares_one_arena_per_network() {
     assert!(!std::sync::Arc::ptr_eq(&a, &other));
 }
 
-/// Mixed-degree pairs are rejected without panicking, batch included.
+/// Mixed-degree pairs are rejected without panicking, chunks included;
+/// an empty chunk routes.
 #[test]
 fn degree_mismatches_surface_as_errors() {
-    let net = SuperCayleyGraph::macro_star(2, 2).unwrap();
+    let plan = route_plan(&SuperCayleyGraph::macro_star(2, 2).unwrap()).unwrap();
     let bad = Perm::identity(7);
     let good = Perm::identity(5);
-    assert!(scg_route(&net, &bad, &good).is_err());
+    assert!(plan.route(&bad, &good).is_err());
+    let mut state = plan.new_batch_state();
     let pairs = vec![(good, good), (bad, good)];
-    assert!(route_batch(&net, &pairs, 2).is_err());
-    let empty: Vec<(Perm, Perm)> = Vec::new();
-    assert_eq!(
-        route_batch(&net, &empty, 4).unwrap(),
-        Vec::<Vec<Generator>>::new()
-    );
+    let mut out = vec![Vec::new(); 2];
+    assert!(plan.route_chunk(&pairs, &mut out, &mut state).is_err());
+    assert_eq!(plan.route_chunk(&[], &mut [], &mut state), Ok(()));
 }
